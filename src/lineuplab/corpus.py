@@ -254,12 +254,16 @@ def _read_binary(path: Path):
     dim, count = _HEADER.unpack_from(data, 4)
     if dim == 0:
         raise DataError(f"{path}: header declares dimension 0")
+    offset = 4 + _HEADER.size
+    vec_bytes = 4 * dim
+    # Every record holds two length prefixes and its vector.
+    if count * (4 + vec_bytes) > len(data) - offset:
+        raise DataError(f"{path}: header declares {count} records of dimension {dim}, "
+                        f"more than the file holds")
     ids: list[str] = []
     identities: list[str] = []
     matrix = np.empty((count, dim), dtype=np.float32)
     seen: set[str] = set()
-    offset = 4 + _HEADER.size
-    vec_bytes = 4 * dim
     for n in range(count):
         where = f"{path} record {n}"
         try:

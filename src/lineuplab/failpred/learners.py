@@ -3,9 +3,15 @@
 Everything is numpy on float64. Trees share one growth engine driven by a
 split criterion: gini for classification forests, weighted least squares on
 residuals for gradient boosting, and second-order gain with an L2 leaf
-penalty for the regularized boosting family. Feature columns are sorted once
-per dataset and the sorted index lists are partitioned stably at each split,
-so no per-node sorting happens.
+penalty for the regularized boosting family.
+
+Block layout: the data is held feature-major, ``xt`` of shape (d, n_total),
+and sorted once per dataset into a (d, n) int32 block whose row f lists the
+tree's sample ids ascending by feature f. Each node searches all candidate
+features at once over its own block: gather their rows, take prefix sums of
+the criterion's two per-row statistics along each row, score every boundary,
+and keep the best. One boolean mask then splits every row of the block
+stably, so the children's rows stay sorted and no per-node sorting happens.
 
 Determinism: every stochastic choice (bootstrap, feature subsets, random
 thresholds) draws from a generator seeded through the model config, and
@@ -15,6 +21,7 @@ trees grow sequentially, so identical inputs give bit-identical models.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -151,164 +158,141 @@ class _Growth:
         )
 
 
-def _scan_gini(xs, ys, ws, lo, hi):
-    """Best boundary for a weighted gini split; boundaries lo..hi-1 inclusive
-    split after that many left samples. Returns (improvement, left_count)."""
-    cw = np.cumsum(ws)
-    cwy = np.cumsum(ws * ys)
-    total_w = cw[-1]
-    total_wy = cwy[-1]
-    lw = cw[lo - 1 : hi - 1]
-    lwy = cwy[lo - 1 : hi - 1]
-    rw = total_w - lw
-    rwy = total_wy - lwy
-    child = 2.0 * (lwy * (lw - lwy) / lw + rwy * (rw - rwy) / rw)
-    parent = 2.0 * total_wy * (total_w - total_wy) / total_w
-    improvement = parent - child
-    improvement[xs[lo - 1 : hi - 1] >= xs[lo:hi]] = -np.inf
-    best = int(np.argmax(improvement))
-    return float(improvement[best]), lo + best
-
-
-def _scan_lsq(xs, rs, ws, lo, hi):
-    """Weighted least-squares split on residuals: maximize the gain in
-    sum-of-squares explained. Returns (gain, left_count)."""
-    cw = np.cumsum(ws)
-    cs = np.cumsum(ws * rs)
-    total_w = cw[-1]
-    total_s = cs[-1]
-    lw = cw[lo - 1 : hi - 1]
-    ls = cs[lo - 1 : hi - 1]
-    rw = total_w - lw
-    rs_ = total_s - ls
-    gain = ls * ls / lw + rs_ * rs_ / rw - total_s * total_s / total_w
-    gain[xs[lo - 1 : hi - 1] >= xs[lo:hi]] = -np.inf
-    best = int(np.argmax(gain))
-    return float(gain[best]), lo + best
-
-
-def _scan_gain(xs, gs, hs, lo, hi, lam):
-    """Second-order gain with L2 leaf penalty lambda."""
-    cg = np.cumsum(gs)
-    ch = np.cumsum(hs)
-    total_g = cg[-1]
-    total_h = ch[-1]
-    lg = cg[lo - 1 : hi - 1]
-    lh = ch[lo - 1 : hi - 1]
-    rg = total_g - lg
-    rh = total_h - lh
-    gain = 0.5 * (
-        lg * lg / (lh + lam) + rg * rg / (rh + lam) - total_g * total_g / (total_h + lam)
-    )
-    gain[xs[lo - 1 : hi - 1] >= xs[lo:hi]] = -np.inf
-    best = int(np.argmax(gain))
-    return float(gain[best]), lo + best
-
-
+@dataclass(frozen=True)
 class _Criterion:
-    """One of: ('gini', y), ('lsq', residual, hess), ('gain', g, h, lam)."""
+    """A split criterion: two per-row statistics whose prefix sums score a
+    boundary, the gain of each boundary from its left sums (l1, l2) and the
+    node totals (t1, t2), and the leaf value of a set of row ids."""
 
-    def __init__(self, kind: str, a: np.ndarray, b: np.ndarray | None = None,
-                 lam: float = 1.0):
-        self.kind = kind
-        self.a = a
-        self.b = b
-        self.lam = lam
-
-    def scan(self, xs, ids, w, lo, hi):
-        if self.kind == "gini":
-            return _scan_gini(xs, self.a[ids], w[ids], lo, hi)
-        if self.kind == "lsq":
-            return _scan_lsq(xs, self.a[ids], w[ids], lo, hi)
-        return _scan_gain(xs, self.a[ids], self.b[ids], lo, hi, self.lam)
-
-    def at_position(self, xs, ids, w, pos):
-        """Score a single externally chosen boundary (random-threshold path)."""
-        score, _ = self.scan(xs, ids, w, pos, pos + 1)
-        return score
-
-    def leaf_value(self, ids, w) -> float:
-        if self.kind == "gini":
-            ws = w[ids]
-            return float(np.dot(ws, self.a[ids]) / ws.sum())
-        if self.kind == "lsq":
-            ws = w[ids]
-            den = float(np.dot(ws, self.b[ids]))
-            if den < 1e-12:
-                return 0.0
-            return float(np.dot(ws, self.a[ids]) / den)
-        den = float(self.b[ids].sum()) + self.lam
-        return float(-self.a[ids].sum() / den)
+    s1: np.ndarray
+    s2: np.ndarray
+    gain: Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+    leaf: Callable[[np.ndarray], float]
 
 
-def grow_tree(columns, sorted_ids, weights, criterion: _Criterion,
+def _gini(y: np.ndarray, w: np.ndarray) -> _Criterion:
+    """Weighted gini impurity decrease; leaves hold the weighted failure rate."""
+
+    def gain(lw, lwy, tw, twy):
+        rw = tw - lw
+        rwy = twy - lwy
+        child = 2.0 * (lwy * (lw - lwy) / lw + rwy * (rw - rwy) / rw)
+        return 2.0 * twy * (tw - twy) / tw - child
+
+    def leaf(ids):
+        ws = w[ids]
+        return float(np.dot(ws, y[ids]) / ws.sum())
+
+    return _Criterion(w, w * y, gain, leaf)
+
+
+def _least_squares(residual: np.ndarray, hess: np.ndarray, w: np.ndarray) -> _Criterion:
+    """Weighted least squares on residuals: the gain in sum of squares
+    explained. Leaves take one Newton step."""
+
+    def gain(lw, ls, tw, ts):
+        rs = ts - ls
+        return ls * ls / lw + rs * rs / (tw - lw) - ts * ts / tw
+
+    def leaf(ids):
+        ws = w[ids]
+        den = float(np.dot(ws, hess[ids]))
+        if den < 1e-12:
+            return 0.0
+        return float(np.dot(ws, residual[ids]) / den)
+
+    return _Criterion(w, w * residual, gain, leaf)
+
+
+def _second_order(g: np.ndarray, h: np.ndarray, lam: float) -> _Criterion:
+    """Second-order gain with L2 leaf penalty lambda; leaves are -G/(H + lambda)."""
+
+    def gain(lg, lh, tg, th):
+        rg = tg - lg
+        return 0.5 * (lg * lg / (lh + lam) + rg * rg / (th - lh + lam) - tg * tg / (th + lam))
+
+    def leaf(ids):
+        den = float(h[ids].sum()) + lam
+        return float(-g[ids].sum() / den)
+
+    return _Criterion(g, h, gain, leaf)
+
+
+def _best_split(xt: np.ndarray, block: np.ndarray, criterion: _Criterion,
+                params: TreeParams, rng: np.random.Generator | None):
+    """Best split of one node's (d, n) block: (feature, threshold, boolean
+    mask of the block entries that go left), or None when no split gains
+    more than SPLIT_EPS. Its (features x samples) temporaries die on return,
+    before the children are built."""
+    d, n_total = xt.shape
+    n = block.shape[1]
+    lo, hi = params.min_leaf, n - params.min_leaf
+    if params.mtry is not None and params.mtry < d:
+        feats = rng.choice(d, size=params.mtry, replace=False)
+    else:
+        feats = np.arange(d)
+    ids = block[feats]
+    xs = xt[feats[:, None], ids]
+    c1 = np.cumsum(criterion.s1[ids], axis=1)
+    c2 = np.cumsum(criterion.s2[ids], axis=1)
+    # Column k scores the boundary with lo + k samples on the left; a
+    # boundary between equal values is no split.
+    gain = criterion.gain(c1[:, lo - 1:hi], c2[:, lo - 1:hi], c1[:, -1:], c2[:, -1:])
+    gain[xs[:, lo - 1:hi] >= xs[:, lo:hi + 1]] = -np.inf
+    rows = np.arange(feats.size)
+    if params.random_thresholds:
+        # One draw per feature that varies in this node, in feature order.
+        varies = xs[:, 0] != xs[:, -1]
+        thr = xs[:, 0].copy()
+        thr[varies] = rng.uniform(xs[varies, 0], xs[varies, -1])
+        pos = np.count_nonzero(xs <= thr[:, None], axis=1)
+        usable = varies & (pos >= lo) & (pos <= hi)
+        best = np.full(feats.size, -np.inf)
+        best[usable] = gain[rows[usable], pos[usable] - lo]
+    else:
+        pos = np.argmax(gain, axis=1) + lo
+        best = gain[rows, pos - lo]
+        thr = xs[rows, pos - 1]
+    # The first feature with the largest gain above SPLIT_EPS wins.
+    best[~(best > SPLIT_EPS)] = -np.inf
+    j = int(np.argmax(best))
+    if best[j] == -np.inf:
+        return None
+    # The sorted prefix is exactly the x <= threshold set, for drawn
+    # thresholds as well as boundary values.
+    go_left = np.zeros(n_total, dtype=bool)
+    go_left[ids[j, :pos[j]]] = True
+    return int(feats[j]), float(thr[j]), go_left[block]
+
+
+def grow_tree(xt: np.ndarray, sorted_ids: np.ndarray, criterion: _Criterion,
               params: TreeParams, rng: np.random.Generator | None) -> Tree:
     """Build one tree.
 
-    columns: list of d contiguous float64 feature columns (full dataset).
-    sorted_ids: per-feature int32 row ids of THIS tree's samples, ascending
-    by that feature. All lists share one row multiset.
+    xt: (d, n_total) float64 feature-major copy of the full dataset.
+    sorted_ids: (d, n) int32 row ids of THIS tree's samples; row f is
+    ascending by feature f, and all rows share one row multiset.
     """
-    d = len(columns)
-    n_total = columns[0].shape[0]
+    d = xt.shape[0]
     growth = _Growth()
 
-    def build(node: int, ids_by_feature, depth: int):
-        ids0 = ids_by_feature[0]
-        n = ids0.size
-        growth.value[node] = criterion.leaf_value(ids0, weights)
+    def build(node: int, block: np.ndarray, depth: int):
+        n = block.shape[1]
+        growth.value[node] = criterion.leaf(block[0])
         if depth >= params.max_depth or n < params.min_split or n < 2 * params.min_leaf:
             return
-        if params.mtry is not None and params.mtry < d:
-            feats = rng.choice(d, size=params.mtry, replace=False)
-        else:
-            feats = range(d)
-        best_gain = SPLIT_EPS
-        best_feat = -1
-        best_pos = 0
-        best_thr = 0.0
-        lo, hi = params.min_leaf, n - params.min_leaf + 1
-        for f in feats:
-            ids = ids_by_feature[f]
-            xs = columns[f][ids]
-            if params.random_thresholds:
-                low, high = xs[0], xs[-1]
-                if low == high:
-                    continue
-                thr = rng.uniform(low, high)
-                pos = int(np.searchsorted(xs, thr, side="right"))
-                if pos < params.min_leaf or n - pos < params.min_leaf:
-                    continue
-                gain = criterion.at_position(xs, ids, weights, pos)
-            else:
-                if xs[0] == xs[-1]:
-                    continue
-                gain, pos = criterion.scan(xs, ids, weights, lo, hi)
-                thr = float(xs[pos - 1])
-            if gain > best_gain:
-                best_gain, best_feat, best_pos, best_thr = gain, f, pos, thr
-        if best_feat < 0:
+        split = _best_split(xt, block, criterion, params, rng)
+        if split is None:
             return
-        # The sorted prefix is exactly the x <= threshold set, for drawn
-        # thresholds as well as boundary values.
-        left_ids = ids_by_feature[best_feat][:best_pos]
-        go_left = np.zeros(n_total, dtype=bool)
-        go_left[left_ids] = True
-        left_lists = []
-        right_lists = []
-        for f in range(d):
-            ids = ids_by_feature[f]
-            mask = go_left[ids]
-            left_lists.append(ids[mask])
-            right_lists.append(ids[~mask])
+        feature, threshold, left = split
         lid = growth.add()
         rid = growth.add()
-        growth.feature[node] = int(best_feat)
-        growth.threshold[node] = best_thr
+        growth.feature[node] = feature
+        growth.threshold[node] = threshold
         growth.left[node] = lid
         growth.right[node] = rid
-        build(lid, left_lists, depth + 1)
-        build(rid, right_lists, depth + 1)
+        build(lid, block[left].reshape(d, -1), depth + 1)
+        build(rid, block[~left].reshape(d, -1), depth + 1)
 
     root = growth.add()
     build(root, sorted_ids, 0)
@@ -316,14 +300,10 @@ def grow_tree(columns, sorted_ids, weights, criterion: _Criterion,
 
 
 def presort_columns(X: np.ndarray):
-    """Contiguous columns plus per-feature stable ascending row ids."""
-    columns = [np.ascontiguousarray(X[:, f]) for f in range(X.shape[1])]
-    sorted_ids = [np.argsort(col, kind="stable").astype(np.int32) for col in columns]
-    return columns, sorted_ids
-
-
-def _restrict_sorted(sorted_ids, present: np.ndarray):
-    return [ids[present[ids]] for ids in sorted_ids]
+    """Feature-major copy of X plus each feature's stable ascending row ids,
+    shapes (d, n) and (d, n) int32."""
+    xt = np.ascontiguousarray(X.T)
+    return xt, np.argsort(xt, axis=1, kind="stable").astype(np.int32)
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +330,7 @@ def fit_forest(X: np.ndarray, y: np.ndarray, w: np.ndarray, n_estimators: int,
     n, d = X.shape
     if len(np.unique(y)) < 2:
         raise DataError("forest training needs both classes")
-    columns, base_sorted = presort_columns(X)
+    xt, base_sorted = presort_columns(X)
     prob = w / w.sum()
     mtry = params.mtry if params.mtry is not None else max(1, int(np.sqrt(d)))
     tree_params = TreeParams(
@@ -363,9 +343,8 @@ def fit_forest(X: np.ndarray, y: np.ndarray, w: np.ndarray, n_estimators: int,
         counts = np.bincount(rng.choice(n, size=n, replace=True, p=prob),
                              minlength=n).astype(np.float64)
         present = counts > 0
-        sorted_ids = _restrict_sorted(base_sorted, present)
-        criterion = _Criterion("gini", y_float)
-        trees.append(grow_tree(columns, sorted_ids, counts, criterion, tree_params, rng))
+        sorted_ids = base_sorted[present[base_sorted]].reshape(d, -1)
+        trees.append(grow_tree(xt, sorted_ids, _gini(y_float, counts), tree_params, rng))
     return ForestModel(trees=tuple(trees))
 
 
@@ -401,7 +380,7 @@ def fit_gradient_boosting(X: np.ndarray, y: np.ndarray, w: np.ndarray,
                           n_estimators: int, learning_rate: float,
                           params: TreeParams) -> BoostedModel:
     """Log-loss boosting: least-squares trees on residuals, Newton leaves."""
-    columns, sorted_ids = presort_columns(X)
+    xt, sorted_ids = presort_columns(X)
     y_float = y.astype(np.float64)
     f0 = _prior_log_odds(y_float, w)
     z = np.full(X.shape[0], f0)
@@ -409,8 +388,8 @@ def fit_gradient_boosting(X: np.ndarray, y: np.ndarray, w: np.ndarray,
     for _ in range(n_estimators):
         p = sigmoid(z)
         residual = y_float - p
-        criterion = _Criterion("lsq", residual, p * (1.0 - p))
-        tree = grow_tree(columns, sorted_ids, w, criterion, params, None)
+        criterion = _least_squares(residual, p * (1.0 - p), w)
+        tree = grow_tree(xt, sorted_ids, criterion, params, None)
         trees.append(tree)
         if tree.feature[0] < 0 and tree.value[0] == 0.0:
             break  # nothing left to move; later rounds would repeat this
@@ -422,7 +401,7 @@ def fit_regularized_boosting(X: np.ndarray, y: np.ndarray, w: np.ndarray,
                              n_estimators: int, learning_rate: float,
                              params: TreeParams, lam: float = 1.0) -> BoostedModel:
     """Second-order boosting: gain splits and -G/(H + lambda) leaves."""
-    columns, sorted_ids = presort_columns(X)
+    xt, sorted_ids = presort_columns(X)
     y_float = y.astype(np.float64)
     f0 = _prior_log_odds(y_float, w)
     z = np.full(X.shape[0], f0)
@@ -431,8 +410,7 @@ def fit_regularized_boosting(X: np.ndarray, y: np.ndarray, w: np.ndarray,
         p = sigmoid(z)
         g = w * (p - y_float)
         h = w * p * (1.0 - p)
-        criterion = _Criterion("gain", g, h, lam=lam)
-        tree = grow_tree(columns, sorted_ids, w, criterion, params, None)
+        tree = grow_tree(xt, sorted_ids, _second_order(g, h, lam), params, None)
         trees.append(tree)
         if tree.feature[0] < 0 and tree.value[0] == 0.0:
             break

@@ -24,9 +24,7 @@ from lineuplab.imgfeat.features import (
 from lineuplab.imgfeat.geometry import GEOMETRY_FEATURE_NAMES, geometry_features
 from lineuplab.imgfeat.standardize import (
     Standardizer,
-    apply_standardizer,
     fit_standardizer,
-    invert_standardizer,
 )
 
 __all__ = [
@@ -36,12 +34,10 @@ __all__ = [
     "FeatureVector",
     "Standardizer",
     "assemble_feature_vector",
-    "apply_standardizer",
     "classical_features",
     "feature_csv_header",
     "fit_standardizer",
     "geometry_features",
-    "invert_standardizer",
     "lighting_features",
     "noise_features",
     "quality_features",

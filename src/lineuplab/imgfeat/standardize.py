@@ -1,8 +1,7 @@
 """Z-score standardization with an explicit zero-variance rule.
 
 Means and standard deviations are population statistics over the training
-rows. Dimensions with zero spread standardize to 0 for every input, and are
-the only ones the inverse cannot restore.
+rows. Dimensions with zero spread standardize to 0 for every input.
 """
 
 from __future__ import annotations
@@ -32,12 +31,6 @@ class Standardizer:
         out = np.where(nonzero, out / np.where(nonzero, self.std, 1.0), 0.0)
         return out
 
-    def inverse_transform(self, values: np.ndarray) -> np.ndarray:
-        values = np.asarray(values, dtype=np.float64)
-        if values.shape[-1] != self.dim:
-            raise DataError(f"expected {self.dim} dimensions, got {values.shape[-1]}")
-        return np.where(self.std > 0.0, values * self.std + self.mean, self.mean)
-
 
 def _as_matrix(train) -> np.ndarray:
     rows = [getattr(v, "values", v) for v in train]
@@ -51,19 +44,3 @@ def fit_standardizer(train) -> Standardizer:
     matrix = _as_matrix(train)
     return Standardizer(mean=matrix.mean(axis=0), std=matrix.std(axis=0))
 
-
-def apply_standardizer(standardizer: Standardizer, vector):
-    """Standardize one FeatureVector or raw array, preserving the type."""
-    values = getattr(vector, "values", vector)
-    out = standardizer.transform(values)
-    if hasattr(vector, "values"):
-        return type(vector)(image_id=vector.image_id, values=out)
-    return out
-
-
-def invert_standardizer(standardizer: Standardizer, vector):
-    values = getattr(vector, "values", vector)
-    out = standardizer.inverse_transform(values)
-    if hasattr(vector, "values"):
-        return type(vector)(image_id=vector.image_id, values=out)
-    return out

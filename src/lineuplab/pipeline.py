@@ -9,6 +9,7 @@ identical inputs produce byte-identical outputs.
 
 from __future__ import annotations
 
+import csv
 import json
 import shlex
 import subprocess
@@ -78,7 +79,6 @@ class PipelineConfig:
     model: str | None = None
     lineup_seed: int = 0
     distinct_fillers: bool = False
-    batch_size: int = 256
     dark_threshold: float = 30.0
     bright_threshold: float = 225.0
     blur_threshold: float = 15.0
@@ -92,8 +92,6 @@ class PipelineConfig:
     parallelism: int = 1
 
     def __post_init__(self):
-        if self.batch_size < 1:
-            raise ConfigError(f"index.batch_size must be >= 1, got {self.batch_size}")
         if self.parallelism < 1:
             raise ConfigError(f"parallelism must be >= 1, got {self.parallelism}")
         if self.target not in ("source", "probe"):
@@ -101,6 +99,12 @@ class PipelineConfig:
         if self.threshold_override is not None and not 0.25 <= self.threshold_override <= 0.75:
             raise ConfigError(
                 f"predict.threshold must lie in [0.25, 0.75], got {self.threshold_override}"
+            )
+        if not self.hook_timeout > 0:
+            raise ConfigError(f"hook.timeout must be > 0, got {self.hook_timeout}")
+        if not 0.0 <= self.hook_failure_threshold <= 1.0:
+            raise ConfigError(
+                f"hook.failure_threshold must lie in [0, 1], got {self.hook_failure_threshold}"
             )
 
     def curation_rules(self) -> CurationConfig:
@@ -137,7 +141,6 @@ CONFIG_LEAVES = {
     "paths.model": ("model", str),
     "lineup.seed": ("lineup_seed", int),
     "lineup.distinct_fillers": ("distinct_fillers", _parse_bool),
-    "index.batch_size": ("batch_size", int),
     "curation.dark_threshold": ("dark_threshold", float),
     "curation.bright_threshold": ("bright_threshold", float),
     "curation.blur_threshold": ("blur_threshold", float),
@@ -163,11 +166,25 @@ def _flatten(obj, prefix="") -> dict:
     return out
 
 
+def _parse_leaf(dotted: str, value, origin: str = ""):
+    """(attribute, value) for one dotted leaf; strings are parsed by the
+    leaf's declared type, other values are used as-is."""
+    if dotted not in CONFIG_LEAVES:
+        raise ConfigError(f"{origin}unknown config key {dotted!r}")
+    attr, parser = CONFIG_LEAVES[dotted]
+    if isinstance(value, str):
+        try:
+            value = parser(value)
+        except (ValueError, ConfigError) as exc:
+            raise ConfigError(f"{origin}{dotted}: {exc}") from None
+    return attr, value
+
+
 def load_config(path=None, overrides: dict | None = None) -> PipelineConfig:
     """Build config from an optional JSON file plus dotted-name overrides.
 
-    Override values arrive as strings (from CLI flags) and are parsed by the
-    leaf's declared type; file values are used as-is.
+    Override values arrive as strings (from CLI flags); string values, from
+    either source, are parsed by the leaf's declared type.
     """
     fields = {}
     if path is not None:
@@ -181,15 +198,11 @@ def load_config(path=None, overrides: dict | None = None) -> PipelineConfig:
         if not isinstance(raw, dict):
             raise ConfigError(f"{path}: config root must be an object")
         for dotted, value in _flatten(raw).items():
-            if dotted not in CONFIG_LEAVES:
-                raise ConfigError(f"{path}: unknown config key {dotted!r}")
-            attr, parser = CONFIG_LEAVES[dotted]
-            fields[attr] = parser(value) if isinstance(value, str) and parser is not str else value
+            attr, value = _parse_leaf(dotted, value, f"{path}: ")
+            fields[attr] = value
     for dotted, text in (overrides or {}).items():
-        if dotted not in CONFIG_LEAVES:
-            raise ConfigError(f"unknown config key {dotted!r}")
-        attr, parser = CONFIG_LEAVES[dotted]
-        fields[attr] = parser(text) if isinstance(text, str) else text
+        attr, value = _parse_leaf(dotted, text)
+        fields[attr] = value
     try:
         return PipelineConfig(**fields)
     except TypeError as exc:
@@ -448,9 +461,10 @@ def run_predict(config: PipelineConfig):
     with _OutputGuard() as guard:
         path = guard.track(config.out(PREDICTIONS_FILE))
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("source_id,probability,predicted_failure\n")
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(("source_id", "probability", "predicted_failure"))
             for sid, p, flag in zip(ids, proba, predicted):
-                fh.write(f"{sid},{float(p)!r},{'true' if flag else 'false'}\n")
+                writer.writerow((sid, repr(float(p)), "true" if flag else "false"))
     return list(zip(ids, proba.tolist(), predicted.tolist()))
 
 
@@ -519,9 +533,9 @@ def compare_with_restored(results_before, original, restored,
         recs = tuple(r for r in records if (r.rank_before > 0) == positive)
         failed = tuple(s for s in failed_all if (before_rank[s] > 0) == positive)
         rep = RankChangeReport(recs, change_histogram(recs), failed)
+        kept = {x.lineup_id for x in recs}.union(failed)
         before = [r for r in results_before
-                  if (r.probe_rank > 0) == positive
-                  and (r.lineup.source in failed or any(x.lineup_id == r.lineup.source for x in recs))]
+                  if (r.probe_rank > 0) == positive and r.lineup.source in kept]
         return rep, before
 
     tp_report, tp_before = split(True)

@@ -318,10 +318,14 @@ def load_index(path) -> SearchIndex:
     dim, count, flags = _HEADER.unpack_from(data, 4)
     pre_normalized = bool(flags & 1)
     offset = 4 + _HEADER.size
+    vec_bytes = 8 * dim
+    # Every record holds two length prefixes and its vector.
+    if count * (4 + vec_bytes) > len(data) - offset:
+        raise DataError(f"{path}: header declares {count} records of dimension {dim}, "
+                        f"more than the file holds")
     ids: list[str] = []
     identities: list[str] = []
     matrix = np.empty((count, dim), dtype=np.float64)
-    vec_bytes = 8 * dim
     for n in range(count):
         try:
             (id_len,) = _U16.unpack_from(data, offset)

@@ -330,3 +330,52 @@ def rescore_lineup(source_vec, member_vecs: dict, probe: str) -> int:
         scored.append((member_id, float(np.dot(sv, v))))
     scored.sort(key=lambda t: (-t[1], t[0]))
     return [m for m, _ in scored].index(probe)
+
+
+# ---------------------------------------------------------------------------
+# Tree split oracle
+
+
+def _split_score(criterion: str, rows, a, b, lam: float) -> float:
+    """Score of one row set; a split gains score(left) + score(right) - score(all).
+
+    gini: a is the 0/1 label, b the row weight; the score is minus the
+    weighted impurity 2 * W1 * (W - W1) / W.
+    lsq: a is the residual, b the row weight; the score is (sum b*a)^2 / sum b.
+    second_order: a is the gradient, b the hessian; the score is
+    0.5 * G^2 / (H + lam).
+    """
+    if criterion == "gini":
+        total = math.fsum(float(b[i]) for i in rows)
+        pos = math.fsum(float(b[i] * a[i]) for i in rows)
+        return -2.0 * pos * (total - pos) / total
+    if criterion == "lsq":
+        total = math.fsum(float(b[i]) for i in rows)
+        s = math.fsum(float(b[i] * a[i]) for i in rows)
+        return s * s / total
+    g = math.fsum(float(a[i]) for i in rows)
+    h = math.fsum(float(b[i]) for i in rows)
+    return 0.5 * g * g / (h + lam)
+
+
+def best_split(X: np.ndarray, a, b, criterion: str, min_leaf: int,
+               lam: float = 1.0) -> tuple[int, float, float]:
+    """Exhaustive best (feature, threshold, gain) over every feature and every
+    distinct value as threshold (x <= threshold goes left), keeping only
+    splits with at least min_leaf rows on each side. Ties go to the lower
+    feature, then the lower threshold."""
+    n, d = X.shape
+    everything = list(range(n))
+    parent = _split_score(criterion, everything, a, b, lam)
+    best = (-1, 0.0, -math.inf)
+    for f in range(d):
+        for threshold in sorted(set(X[:, f].tolist()))[:-1]:
+            left = [i for i in everything if X[i, f] <= threshold]
+            right = [i for i in everything if X[i, f] > threshold]
+            if len(left) < min_leaf or len(right) < min_leaf:
+                continue
+            gain = (_split_score(criterion, left, a, b, lam)
+                    + _split_score(criterion, right, a, b, lam) - parent)
+            if gain > best[2]:
+                best = (f, threshold, gain)
+    return best

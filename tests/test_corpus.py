@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import make_corpus, random_records, write_jsonl_corpus
+from lineuplab import corpus
 from lineuplab.corpus import (
     NO_FACE,
     NO_IMAGE,
@@ -129,6 +130,16 @@ def test_binary_rejects_truncation(tmp_path, rng):
     data = out.read_bytes()
     out.write_bytes(data[: len(data) - 3])
     with pytest.raises(DataError):
+        ingest_embeddings(out)
+
+
+def test_binary_rejects_header_larger_than_file(tmp_path, rng):
+    handle = make_corpus(tmp_path, rng, n_identities=2, per_identity=2, dim=4)
+    out = write_embeddings(handle, tmp_path / "c.bin")
+    data = bytearray(out.read_bytes())
+    corpus._HEADER.pack_into(data, len(corpus.BINARY_MAGIC), 4, 2**40)
+    out.write_bytes(bytes(data))
+    with pytest.raises(DataError, match="more than the file holds"):
         ingest_embeddings(out)
 
 

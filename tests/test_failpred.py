@@ -7,6 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import oracles
 from lineuplab.errors import DataError
 from lineuplab.failpred import (
     BaseClassifierConfig,
@@ -29,6 +30,7 @@ from lineuplab.failpred import (
     train_ensemble,
 )
 from lineuplab.failpred.ensemble import Metrics, binary_metrics, threshold_score
+from lineuplab.failpred import learners
 from lineuplab.failpred.learners import (
     Tree,
     TreeParams,
@@ -230,6 +232,49 @@ def test_tree_sends_boundary_value_left():
     )
     X = np.array([[0.5], [1.0], [1.0000001]])
     assert tree.predict(X).tolist() == [0.0, 0.0, 1.0]
+
+
+def _split_problem(criterion: str, n: int = 40):
+    """Seeded rows whose label follows a rounded, heavily tied column, next to
+    a continuous, a constant and an integer-valued column; plus the criterion
+    and the (a, b) statistics the oracle scores."""
+    rng = np.random.default_rng(11)
+    X = np.column_stack([
+        rng.normal(size=n),
+        np.round(rng.normal(size=n)),
+        np.full(n, 2.0),
+        rng.integers(0, 3, size=n).astype(np.float64),
+        rng.normal(size=n),
+    ])
+    y = (X[:, 1] + 0.5 * rng.normal(size=n) > 0.3).astype(np.float64)
+    # Rows ordered by label: inside a run of tied values the row order alone
+    # would separate the classes, so a boundary between ties must never win.
+    order = np.argsort(-y, kind="stable")
+    X, y = X[order], y[order]
+    w = rng.uniform(0.5, 2.0, size=n)
+    p = 0.4
+    if criterion == "gini":
+        return X, learners._gini(y, w), y, w
+    if criterion == "lsq":
+        return X, learners._least_squares(y - p, np.full(n, p * (1 - p)), w), y - p, w
+    g, h = w * (p - y), w * p * (1 - p)
+    return X, learners._second_order(g, h, 1.0), g, h
+
+
+@pytest.mark.parametrize("min_leaf", [1, 18])
+@pytest.mark.parametrize("criterion", ["gini", "lsq", "second_order"])
+def test_depth_one_tree_matches_exhaustive_split_oracle(criterion, min_leaf):
+    X, crit, a, b = _split_problem(criterion)
+    xt, sorted_ids = learners.presort_columns(X)
+    params = TreeParams(max_depth=1, min_split=2, min_leaf=min_leaf)
+    tree = learners.grow_tree(xt, sorted_ids, crit, params, None)
+    feature, threshold, gain = oracles.best_split(X, a, b, criterion, min_leaf)
+    assert gain > learners.SPLIT_EPS
+    assert (tree.feature[0], tree.threshold[0]) == (feature, threshold)
+    left = X[:, feature] <= threshold
+    got = crit.gain(crit.s1[left].sum(), crit.s2[left].sum(), crit.s1.sum(), crit.s2.sum())
+    assert float(got) == pytest.approx(gain, rel=1e-9)
+    assert min(left.sum(), (~left).sum()) >= min_leaf
 
 
 def test_grown_tree_threshold_is_left_boundary_value():

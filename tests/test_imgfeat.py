@@ -21,9 +21,8 @@ from lineuplab.imgfeat import (
     texture_features,
     write_feature_csv,
 )
-from lineuplab.imgfeat.features import FeatureVector, sanitize
+from lineuplab.imgfeat.features import sanitize
 from lineuplab.imgfeat.geometry import SYMMETRY_PAIRS, eye_aspect_ratio, mouth_aspect_ratio
-from lineuplab.imgfeat.standardize import Standardizer, apply_standardizer, invert_standardizer
 
 
 def gray(px):
@@ -302,8 +301,6 @@ def test_standardizer_zero_std_dimension():
     z = s.transform(np.array([[99.0, 2.0]]))
     assert z[0, 0] == 0.0
     assert z[0, 1] == 0.0  # (2 - 2) / 1
-    back = s.inverse_transform(z)
-    assert back[0, 0] == 5.0  # zero-std dims recover the mean
 
 
 def test_standardizer_self_consistency(rng):
@@ -312,7 +309,6 @@ def test_standardizer_self_consistency(rng):
     Z = s.transform(X)
     assert np.all(np.abs(Z.mean(axis=0)) < 1e-9)
     assert np.allclose(Z.std(axis=0), 1.0, atol=1e-9)
-    assert np.allclose(s.inverse_transform(Z), X, atol=1e-9)
 
 
 def test_standardizer_on_feature_vectors(rng):
@@ -324,11 +320,7 @@ def test_standardizer_on_feature_vectors(rng):
         for i in range(6)
     ]
     s = fit_standardizer(vectors)
-    out = apply_standardizer(s, vectors[0])
-    assert isinstance(out, FeatureVector)
-    assert out.image_id == "v0"
-    restored = invert_standardizer(s, out)
-    assert np.allclose(restored.values, vectors[0].values, atol=1e-9)
+    assert s.dim == vectors[0].values.size
 
 
 def test_standardizer_empty_raises():

@@ -1,6 +1,7 @@
 """Pipeline and CLI tests: configuration handling, the restoration hook, and
 the full command chain on a small synthetic workspace."""
 
+import csv
 import json
 import shutil
 from dataclasses import replace
@@ -18,7 +19,7 @@ from lineuplab.corpus import (
     write_pgm,
 )
 from lineuplab.errors import ConfigError
-from lineuplab.imgfeat import read_feature_csv
+from lineuplab.imgfeat import FeatureVector, read_feature_csv, write_feature_csv
 from lineuplab.lineup import OutcomeTable
 from lineuplab.pipeline import (
     COMPARISON_FILE,
@@ -48,7 +49,6 @@ from lineuplab.pipeline import (
 def test_config_defaults():
     config = load_config()
     assert config.output == "out"
-    assert config.batch_size == 256
     assert config.lineup_seed == 0
     assert config.hook_failure_threshold == 1.0
     assert config.threshold_override is None
@@ -99,10 +99,28 @@ def test_config_file_errors(tmp_path):
     ({"parallelism": "0"}, "parallelism"),
     ({"train.target": "member"}, "train.target"),
     ({"predict.threshold": "0.9"}, "predict.threshold"),
+    ({"lineup.seed": "abc"}, "lineup.seed"),
+    ({"curation.blur_threshold": "x"}, "curation.blur_threshold"),
+    ({"hook.timeout": "-5"}, "hook.timeout"),
+    ({"hook.timeout": "0"}, "hook.timeout"),
+    ({"hook.failure_threshold": "-0.1"}, "hook.failure_threshold"),
+    ({"hook.failure_threshold": "1.5"}, "hook.failure_threshold"),
 ])
-def test_config_validation_errors(overrides, message):
+def test_config_validation_errors(overrides, message, tmp_path):
     with pytest.raises(ConfigError, match=message):
         load_config(None, overrides)
+    # The same string value inside a config file fails the same way.
+    nested = {}
+    for dotted, value in overrides.items():
+        *sections, leaf = dotted.split(".")
+        node = nested
+        for section in sections:
+            node = node.setdefault(section, {})
+        node[leaf] = value
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(nested))
+    with pytest.raises(ConfigError, match=message):
+        load_config(path)
 
 
 def test_config_value_parsing():
@@ -447,6 +465,23 @@ def test_predictions_csv(chain):
     assert flagged == expected
 
 
+def test_predictions_csv_quotes_ids(chain, tmp_path):
+    ids, labels, matrix = read_feature_csv(chain.out / FEATURES_FILE)
+    ids[0] = 'a,"b'
+    write_feature_csv([FeatureVector(i, row) for i, row in zip(ids, matrix)],
+                      dict(zip(ids, labels)), tmp_path / FEATURES_FILE)
+    config = PipelineConfig(output=str(tmp_path), model=str(chain.out / MODEL_FILE))
+    pipeline.run_predict(config)
+    with open(tmp_path / PREDICTIONS_FILE, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert [row[0] for row in rows[1:]] == ids
+    assert all(len(row) == 3 for row in rows)
+    # every other line, header included, is byte-identical to the plain-id run
+    got = (tmp_path / PREDICTIONS_FILE).read_text().splitlines()
+    want = (chain.out / PREDICTIONS_FILE).read_text().splitlines()
+    assert got[:1] + got[2:] == want[:1] + want[2:]
+
+
 def test_restore_with_working_hook(chain):
     status = json.loads(chain.restore_ok[HOOK_STATUS_FILE])
     assert status["failed"] == 0
@@ -587,6 +622,8 @@ def test_cli_usage_error_exits_1():
 def test_cli_config_error_exits_1(capsys):
     assert cli.main(["evaluate"]) == 1  # no embeddings path configured
     assert "error:" in capsys.readouterr().err
+    assert cli.main(["evaluate", "--lineup.seed", "abc"]) == 1
+    assert "lineup.seed" in capsys.readouterr().err
 
 
 def test_cli_data_error_exits_2(tmp_path, capsys):

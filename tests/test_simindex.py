@@ -190,3 +190,7 @@ def test_load_index_rejects_garbage(tmp_path):
     truncated.write_bytes(b"LNUI\x01\x00")
     with pytest.raises(DataError):
         load_index(truncated)
+    oversized = tmp_path / "oversized.index"
+    oversized.write_bytes(simindex.INDEX_MAGIC + simindex._HEADER.pack(4, 2**40, 1) + bytes(64))
+    with pytest.raises(DataError, match="more than the file holds"):
+        load_index(oversized)
