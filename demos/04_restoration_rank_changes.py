@@ -17,53 +17,58 @@ from lineuplab.lineup import compare_variants, evaluate_corpus, summarize_outcom
 from lineuplab.pipeline import write_outcome_csv
 from lineuplab.simindex import build_index
 
-rng = np.random.default_rng(19)
-workdir = Path(tempfile.mkdtemp(prefix="lineuplab_demo_"))
-
 
 def write_corpus(path, rows):
     path.write_text("".join(json.dumps(r) + "\n" for r in rows))
     return ingest_embeddings(path)
 
 
-# Degraded gallery: 30 identities x 4 images. A third of the identities are
-# scattered by noise; restoration pulls every image back toward its
-# identity's center, the way a denoiser sharpens a blurry face.
-bases = rng.normal(size=(30, 24))
-bases /= np.linalg.norm(bases, axis=1, keepdims=True)
-before_rows, after_rows = [], []
-for person in range(30):
-    noise = 0.9 if person < 10 else 0.08
-    for shot in range(4):
-        vec = bases[person] + noise * rng.normal(size=24)
-        fixed = 0.25 * vec + 0.75 * bases[person]
-        meta = {"image_id": f"g{person:02d}_{shot}", "identity_id": f"g{person:02d}"}
-        before_rows.append({**meta, "vector": vec.tolist()})
-        after_rows.append({**meta, "vector": fixed.tolist()})
+def main(workdir: Path) -> None:
+    rng = np.random.default_rng(19)
 
-original = write_corpus(workdir / "degraded.jsonl", before_rows)
-restored = write_corpus(workdir / "restored.jsonl", after_rows)
+    # Degraded gallery: 30 identities x 4 images. A third of the identities are
+    # scattered by noise; restoration pulls every image back toward its
+    # identity's center, the way a denoiser sharpens a blurry face.
+    bases = rng.normal(size=(30, 24))
+    bases /= np.linalg.norm(bases, axis=1, keepdims=True)
+    before_rows, after_rows = [], []
+    for person in range(30):
+        noise = 0.9 if person < 10 else 0.08
+        for shot in range(4):
+            vec = bases[person] + noise * rng.normal(size=24)
+            fixed = 0.25 * vec + 0.75 * bases[person]
+            meta = {"image_id": f"g{person:02d}_{shot}", "identity_id": f"g{person:02d}"}
+            before_rows.append({**meta, "vector": vec.tolist()})
+            after_rows.append({**meta, "vector": fixed.tolist()})
 
-report_before = evaluate_corpus(original, build_index(original), original.ids, seed=5)
-print(f"before restoration: accuracy {report_before.accuracy:.3f} "
-      f"over {len(report_before.results)} lineups")
+    original = write_corpus(workdir / "degraded.jsonl", before_rows)
+    restored = write_corpus(workdir / "restored.jsonl", after_rows)
 
-# Membership stays frozen from the before-pass; only member vectors change.
-# Source vectors keep coming from the degraded corpus, since the query
-# image itself is not restored.
-changes = compare_variants(report_before.results, original, restored)
-table = summarize_outcomes(changes, report_before.results)
+    report_before = evaluate_corpus(original, build_index(original), original.ids, seed=5)
+    print(f"before restoration: accuracy {report_before.accuracy:.3f} "
+          f"over {len(report_before.results)} lineups")
 
-print("\nrank-change histogram (positive = probe moved up):")
-for change, (count, pct) in sorted(changes.histogram.items(), reverse=True):
-    if count:
-        print(f"  {change:+d}: {count:4d}  ({pct:.1f}%)")
+    # Membership stays frozen from the before-pass; only member vectors change.
+    # Source vectors keep coming from the degraded corpus, since the query
+    # image itself is not restored.
+    changes = compare_variants(report_before.results, original, restored)
+    table = summarize_outcomes(changes, report_before.results)
 
-print(f"\nimprovements: {table.improvements}  degradations: {table.degradations}  "
-      f"unchanged: {table.unchanged}")
-print(f"conversions to rank 0: {table.success_conversions}  "
-      f"mean improvement: {table.mean_improvement:.2f} ranks")
+    print("\nrank-change histogram (positive = probe moved up):")
+    for change, (count, pct) in sorted(changes.histogram.items(), reverse=True):
+        if count:
+            print(f"  {change:+d}: {count:4d}  ({pct:.1f}%)")
 
-csv_path = write_outcome_csv(table, workdir / "outcomes.csv")
-print(f"\noutcome table written to {csv_path}:")
-print(csv_path.read_text(), end="")
+    print(f"\nimprovements: {table.improvements}  degradations: {table.degradations}  "
+          f"unchanged: {table.unchanged}")
+    print(f"conversions to rank 0: {table.success_conversions}  "
+          f"mean improvement: {table.mean_improvement:.2f} ranks")
+
+    csv_path = write_outcome_csv(table, workdir / "outcomes.csv")
+    print(f"\noutcome table written to {csv_path}:")
+    print(csv_path.read_text(), end="")
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory(prefix="lineuplab_demo_") as tmp:
+        main(Path(tmp))

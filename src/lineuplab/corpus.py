@@ -17,7 +17,8 @@ are bit-exact.
 Landmark JSONL: {"image_id": str, "points": [[x, y] x 68], "face_count": int}
 
 Image: binary PGM (P5), maxval 255. The file for an image id is expected at
-``<directory>/<image_id>.pgm``.
+``<directory>/<image_id>.pgm``; an id that could name a file outside the
+directory is rejected.
 """
 
 from __future__ import annotations
@@ -346,13 +347,23 @@ def ingest_landmarks(path) -> LandmarkTable:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise DataError(f"{where}: malformed JSON ({exc.msg})") from None
+            if not isinstance(obj, dict):
+                raise DataError(f"{where}: expected an object per line")
             try:
                 image_id = obj["image_id"]
                 raw_points = obj["points"]
             except KeyError as exc:
                 raise DataError(f"{where}: missing field {exc.args[0]!r}") from None
-            declared = int(obj.get("face_count", 1))
-            points = np.asarray(raw_points, dtype=np.float64)
+            if not isinstance(image_id, str):
+                raise DataError(f"{where}: image_id must be a string")
+            try:
+                declared = int(obj.get("face_count", 1))
+            except (TypeError, ValueError):
+                raise DataError(f"{where}: face_count is not an integer") from None
+            try:
+                points = np.asarray(raw_points, dtype=np.float64)
+            except (TypeError, ValueError):
+                raise DataError(f"{where}: points are not a numeric array") from None
             if points.shape != (LANDMARK_POINT_COUNT, 2):
                 raise DataError(
                     f"{where}: image {image_id!r} has {points.shape[0] if points.ndim else 0} "
@@ -420,6 +431,11 @@ def write_pgm(img: ImageGray, path) -> Path:
 
 
 def image_path(directory, image_id: ImageId) -> Path:
+    """``<directory>/<image_id>.pgm``. An id that is empty, ``.`` or ``..``,
+    or holds a path separator or NUL, could name a file outside
+    ``directory`` and is a DataError."""
+    if image_id in ("", ".", "..") or any(c in image_id for c in "/\\\0"):
+        raise DataError(f"image id {image_id!r} cannot name a file in {directory}")
     return Path(directory) / f"{image_id}.pgm"
 
 

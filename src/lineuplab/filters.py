@@ -10,8 +10,6 @@ not leak into any feature value.
 
 from __future__ import annotations
 
-from collections import deque
-
 import numpy as np
 
 SOBEL_X = np.array([[-1.0, 0.0, 1.0], [-2.0, 0.0, 2.0], [-1.0, 0.0, 1.0]])
@@ -62,15 +60,28 @@ def box_mean3(field: np.ndarray) -> np.ndarray:
     return correlate3x3(field, np.ones((3, 3))) / 9.0
 
 
+# Paeth's median-of-9 exchange network (Graphics Gems, 1990).
+_MEDIAN9_NETWORK = (
+    (1, 2), (4, 5), (7, 8), (0, 1), (3, 4), (6, 7), (1, 2), (4, 5), (7, 8),
+    (0, 3), (5, 8), (4, 7), (3, 6), (1, 4), (2, 5), (4, 7), (4, 2), (6, 4),
+    (4, 2),
+)
+
+
 def median3(field: np.ndarray) -> np.ndarray:
-    """3x3 median filter, edges replicated."""
+    """3x3 median filter, edges replicated.
+
+    Paeth's 19-exchange median-of-9 network over the nine shifted views; the
+    median ends in slot 4. On finite inputs min/max select exactly the values
+    a sort would, so the result equals the sorted window's middle element.
+    """
     a = np.asarray(field, dtype=np.float64)
     h, w = a.shape
     p = np.pad(a, 1, mode="edge")
-    windows = np.stack(
-        [p[di : di + h, dj : dj + w] for di in range(3) for dj in range(3)], axis=0
-    )
-    return np.median(windows, axis=0)
+    v = [p[di : di + h, dj : dj + w] for di in range(3) for dj in range(3)]
+    for i, j in _MEDIAN9_NETWORK:
+        v[i], v[j] = np.minimum(v[i], v[j]), np.maximum(v[i], v[j])
+    return v[4]
 
 
 def canny_edges(field: np.ndarray, low: float = 50.0, high: float = 150.0) -> np.ndarray:
@@ -82,6 +93,10 @@ def canny_edges(field: np.ndarray, low: float = 50.0, high: float = 150.0) -> np
     (>= comparison on both sides), double threshold with strong = mag >= high
     and weak = low <= mag < high, then 8-connected hysteresis from strong
     pixels through weak ones.
+
+    Hysteresis labels the 8-connected components of the strong and weak
+    pixels and keeps every component that holds a strong pixel, which is the
+    set a search from the strong pixels through weak ones would reach.
     """
     gx, gy = sobel_gradients(field)
     mag = np.hypot(gx, gy)
@@ -111,14 +126,52 @@ def canny_edges(field: np.ndarray, low: float = 50.0, high: float = 150.0) -> np
     strong = nms >= high
     weak = (nms >= low) & ~strong
 
-    edges = strong.copy()
-    queue = deque(zip(*np.nonzero(strong)))
-    while queue:
-        i, j = queue.popleft()
-        for di in (-1, 0, 1):
-            for dj in (-1, 0, 1):
-                ii, jj = i + di, j + dj
-                if 0 <= ii < h and 0 <= jj < w and weak[ii, jj] and not edges[ii, jj]:
-                    edges[ii, jj] = True
-                    queue.append((ii, jj))
+    return _hysteresis(strong, strong | weak)
+
+
+# 8-connected neighbour offsets that point forward in raster order; together
+# with their mirror images they cover all eight neighbours.
+_FORWARD_NEIGHBOURS = ((0, 1), (1, 0), (1, 1), (1, -1))
+
+
+def _hysteresis(strong: np.ndarray, candidate: np.ndarray) -> np.ndarray:
+    """Candidate pixels whose 8-connected candidate component holds a strong
+    pixel.
+
+    Components are labeled by hooking and pointer jumping (Shiloach and
+    Vishkin, 1982): every round hooks the larger of two adjacent roots onto
+    the smaller one, then jumps pointers until each candidate points at its
+    root. The rounds stop when no neighbour pair spans two roots.
+    """
+    h, w = candidate.shape
+    n = int(np.count_nonzero(candidate))
+    ids = np.full((h, w), -1, dtype=np.intp)
+    ids[candidate] = np.arange(n)
+    us, vs = [], []
+    for di, dj in _FORWARD_NEIGHBOURS:
+        a = ids[: h - di, max(0, -dj) : w - max(0, dj)]
+        b = ids[di:, max(0, dj) : w - max(0, -dj)]
+        both = (a >= 0) & (b >= 0)
+        us.append(a[both])
+        vs.append(b[both])
+    u, v = np.concatenate(us), np.concatenate(vs)
+
+    parent = np.arange(n)
+    while True:
+        ru, rv = parent[u], parent[v]
+        spans = ru != rv
+        if not spans.any():
+            break
+        ru, rv = ru[spans], rv[spans]
+        np.minimum.at(parent, np.maximum(ru, rv), np.minimum(ru, rv))
+        while True:
+            jumped = parent[parent]
+            if np.array_equal(jumped, parent):
+                break
+            parent = jumped
+
+    seeded = np.zeros(n, dtype=bool)
+    seeded[parent[strong[candidate]]] = True
+    edges = np.zeros((h, w), dtype=bool)
+    edges[candidate] = seeded[parent]
     return edges

@@ -337,7 +337,7 @@ def read_lineup_manifest(path) -> list[Lineup]:
                     probe=obj["probe"],
                     seed=int(obj["seed"]),
                 ))
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
                 raise DataError(f"{path}:{lineno}: malformed lineup entry ({exc})") from None
     return out
 
@@ -368,9 +368,15 @@ def read_results_csv(path, lineups_by_source: dict[ImageId, Lineup]) -> list[Lin
             source, rank, success = row
             if source not in lineups_by_source:
                 raise DataError(f"{path}: result for unknown lineup {source!r}")
+            try:
+                probe_rank = int(rank)
+            except ValueError:
+                raise DataError(
+                    f"{path}:{reader.line_num}: probe_rank {rank!r} is not an integer"
+                ) from None
             out.append(LineupResult(
                 lineup=lineups_by_source[source],
-                probe_rank=int(rank),
+                probe_rank=probe_rank,
                 success=success == "true",
             ))
     return out

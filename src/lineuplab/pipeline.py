@@ -155,6 +155,17 @@ CONFIG_LEAVES = {
 }
 
 
+# leaf parser -> (JSON types a non-string value may have, their description).
+# A bool is not a number here, although Python counts it as an int.
+_JSON_TYPES = {
+    str: ((), "a string"),
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
+    _parse_bool: ((bool,), "a boolean"),
+    _parse_optional_float: ((int, float), "a number or null"),
+}
+
+
 def _flatten(obj, prefix="") -> dict:
     out = {}
     for key, value in obj.items():
@@ -168,7 +179,8 @@ def _flatten(obj, prefix="") -> dict:
 
 def _parse_leaf(dotted: str, value, origin: str = ""):
     """(attribute, value) for one dotted leaf; strings are parsed by the
-    leaf's declared type, other values are used as-is."""
+    leaf's declared type, other values must already have that type (null
+    only where the leaf defaults to null)."""
     if dotted not in CONFIG_LEAVES:
         raise ConfigError(f"{origin}unknown config key {dotted!r}")
     attr, parser = CONFIG_LEAVES[dotted]
@@ -177,6 +189,11 @@ def _parse_leaf(dotted: str, value, origin: str = ""):
             value = parser(value)
         except (ValueError, ConfigError) as exc:
             raise ConfigError(f"{origin}{dotted}: {exc}") from None
+    else:
+        types, description = _JSON_TYPES[parser]
+        nullable = getattr(PipelineConfig, attr) is None
+        if type(value) not in types and not (value is None and nullable):
+            raise ConfigError(f"{origin}{dotted}: expected {description}, got {value!r}")
     return attr, value
 
 
@@ -485,7 +502,7 @@ def run_hook(config: PipelineConfig, member_ids) -> dict[ImageId, HookRecord]:
         records[image_id] = hook.run(
             image_id,
             corpus_mod.image_path(images_dir, image_id),
-            restored_dir / f"{image_id}.pgm",
+            corpus_mod.image_path(restored_dir, image_id),
         )
     _write_json(config.out(HOOK_STATUS_FILE), {
         "records": [

@@ -192,6 +192,13 @@ def test_pgm_rejects_truncated_and_trailing(tmp_path):
         load_grayscale_image(tmp_path / "long.pgm")
 
 
+def test_image_path_rejects_ids_that_leave_the_directory(tmp_path):
+    assert image_path(tmp_path, "a..b") == tmp_path / "a..b.pgm"
+    for bad in ("", ".", "..", "../../etc/x", "a/b", "/abs", "a\\b", "a\0b"):
+        with pytest.raises(DataError, match="image id"):
+            image_path(tmp_path, bad)
+
+
 def test_image_must_fit_kernel():
     with pytest.raises(DataError, match="3x3"):
         ImageGray(2, 2, np.zeros((2, 2), dtype=np.uint8))
@@ -233,6 +240,23 @@ def test_landmark_duplicates_keep_first_and_count(tmp_path, rng):
 def test_landmark_rejects_wrong_shape(tmp_path, rng):
     path = _write_landmarks(tmp_path / "lm.jsonl", [("a", rng.uniform(size=(60, 2)), 1)])
     with pytest.raises(DataError, match="68"):
+        ingest_landmarks(path)
+
+
+@pytest.mark.parametrize("line, message", [
+    ('{"image_id": "a", "points": POINTS, "face_count": "x"}', "face_count"),
+    ('{"image_id": "a", "points": POINTS, "face_count": [1]}', "face_count"),
+    ('{"image_id": "a", "points": "abc", "face_count": 1}', "points"),
+    ('{"image_id": "a", "points": [[1, 2], [3]], "face_count": 1}', "points"),
+    ('{"image_id": ["a"], "points": POINTS, "face_count": 1}', "image_id"),
+    ('[1, 2]', "object"),
+], ids=["face_count_text", "face_count_list", "points_text", "points_ragged",
+        "image_id_list", "not_an_object"])
+def test_landmark_rejects_malformed_values(tmp_path, line, message):
+    path = tmp_path / "lm.jsonl"
+    good = json.dumps({"image_id": "b", "points": [[1.0, 2.0]] * 68, "face_count": 1})
+    path.write_text(good + "\n" + line.replace("POINTS", json.dumps([[1.0, 2.0]] * 68)) + "\n")
+    with pytest.raises(DataError, match=rf"lm\.jsonl:2: .*{message}"):
         ingest_landmarks(path)
 
 

@@ -51,6 +51,11 @@ def test_box_and_median_match_oracles(rng):
                        oracles.conv3(field, oracles.ONES3) / 9.0,
                        rtol=1e-12, atol=1e-9)
     assert np.array_equal(filters.median3(field), oracles.median3(field))
+    # Non-square shapes down to one window, real values and heavy ties.
+    for shape in ((3, 3), (3, 17), (19, 4), (9, 26)):
+        for field in (rng.normal(0.0, 50.0, size=shape),
+                      rng.integers(0, 4, size=shape).astype(np.float64)):
+            assert np.array_equal(filters.median3(field), oracles.median3(field))
 
 
 def test_median_flattens_salt_noise():
@@ -61,6 +66,13 @@ def test_median_flattens_salt_noise():
 
 def test_canny_constant_image_has_no_edges():
     assert not filters.canny_edges(np.full((16, 16), 200.0)).any()
+    # No candidate pixels at all: a gentle ramp (|gradient| = 8 < low) and
+    # the smallest image the kernels accept.
+    ramp = np.add.outer(np.arange(12.0), np.arange(15.0))
+    for field in (ramp, np.full((3, 3), 9.0)):
+        edges = filters.canny_edges(field)
+        assert not edges.any()
+        assert np.array_equal(edges, oracles.canny(field))
 
 
 def test_canny_vertical_step_edge():
@@ -89,3 +101,76 @@ def test_canny_hysteresis_links_weak_to_strong():
     field[4, 4] = 60.0   # strong bump in the middle
     edges = filters.canny_edges(field, low=50.0, high=150.0)
     assert np.array_equal(edges, oracles.canny(field, 50.0, 150.0))
+
+
+def _serpentine(n: int, seed_value: float) -> np.ndarray:
+    """A 3 px stripe (125 on 100) that snakes down the image, so its borders
+    are one long chain of weak edges; its first cells hold ``seed_value``."""
+    field = np.full((n, n), 100.0)
+    rows = list(range(4, n - 6, 8))
+    for i, r in enumerate(rows):
+        field[r : r + 3, 4 : n - 4] = 125.0
+        if i + 1 < len(rows):
+            c = n - 7 if i % 2 == 0 else 4
+            field[r : rows[i + 1] + 3, c : c + 3] = 125.0
+    field[4:7, 4:10] = seed_value
+    noise = np.random.default_rng(3).normal(0.0, 1.0, size=field.shape)
+    return np.round(field + noise)
+
+
+def test_canny_hysteresis_follows_serpentine_weak_chain():
+    field = _serpentine(80, seed_value=175.0)
+    edges = filters.canny_edges(field)
+    assert np.array_equal(edges, oracles.canny(field))
+    # Every turn of the stripe, down to the far end, is linked to the seed.
+    for r in range(4, 74, 8):
+        assert edges[r - 1 : r + 4, 8:72].any()
+    # Without the strong seed the same chain is all weak and vanishes.
+    unseeded = _serpentine(80, seed_value=125.0)
+    assert not filters.canny_edges(unseeded).any()
+
+
+def test_canny_hysteresis_keeps_only_seeded_components():
+    # Four separate weak ridges and a weak X of two diagonal lines; only the
+    # first and third ridges and one arm of the X carry a strong bump.
+    field = np.zeros((40, 72))
+    for r in (5, 15, 25, 35):
+        field[r, 2:28] = 30.0
+    field[5, 20] = field[25, 10] = 60.0
+    for k in range(2, 38):
+        field[k, 32 + k] = field[k, 69 - k] = 30.0
+    field[8, 40] = 90.0
+    edges = filters.canny_edges(field)
+    assert np.array_equal(edges, oracles.canny(field))
+    candidates = filters.canny_edges(field, 50.0, 50.0)
+    for r, seeded in ((5, True), (15, False), (25, True), (35, False)):
+        assert candidates[r - 1 : r + 2, :30].any()
+        assert edges[r - 1 : r + 2, :30].any() == seeded
+    # The X links only through diagonal neighbours, out to the far ends of
+    # both arms.
+    assert edges[34:40, 62:72].any()
+    assert edges[0:6, 62:72].any()
+    assert edges[34:40, 30:40].any()
+
+
+def test_canny_hysteresis_on_borders_and_corners():
+    # Random values on the outermost ring only: every border holds strong
+    # pixels and kept weak pixels, three hold dropped weak pixels, and every
+    # corner is an edge, so links run along the first and last rows and
+    # columns and turn the corners.
+    field = np.zeros((14, 19))
+    ring = np.ones(field.shape, dtype=bool)
+    ring[1:-1, 1:-1] = False
+    field[ring] = np.random.default_rng(128).choice([0.0, 15.0, 30.0, 45.0], size=ring.sum())
+    edges = filters.canny_edges(field)
+    assert np.array_equal(edges, oracles.canny(field))
+    strong = filters.canny_edges(field, 150.0, 150.0)
+    candidates = filters.canny_edges(field, 50.0, 50.0)
+
+    def borders(mask):
+        return mask[0], mask[-1], mask[:, 0], mask[:, -1]
+
+    assert all(b.any() for b in borders(strong))
+    assert all(b.any() for b in borders(edges & ~strong))
+    assert sum(b.any() for b in borders(candidates & ~edges)) >= 3
+    assert edges[0, 0] and edges[0, -1] and edges[-1, 0] and edges[-1, -1]

@@ -1,4 +1,5 @@
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -406,3 +407,17 @@ def test_read_results_rejects_unknown_lineup(tmp_path):
     path.write_text("source_id,probe_rank,success\nghost,0,true\n")
     with pytest.raises(DataError, match="unknown lineup"):
         read_results_csv(path, {})
+
+
+def test_read_manifest_and_results_reject_non_integer_fields(tmp_path):
+    lineup = {"source": "s", "fillers": ["f1", "f2", "f3", "f4", "f5"], "probe": "p"}
+    manifest = tmp_path / "m.jsonl"
+    manifest.write_text(json.dumps({**lineup, "seed": 1}) + "\n"
+                        + json.dumps({**lineup, "seed": "abc"}) + "\n")
+    with pytest.raises(DataError, match=r"m\.jsonl:2: malformed lineup entry"):
+        read_lineup_manifest(manifest)
+    results = tmp_path / "r.csv"
+    results.write_text("source_id,probe_rank,success\ns,0,true\ns,x,false\n")
+    by_source = {"s": Lineup("s", ("f1", "f2", "f3", "f4", "f5"), "p", 1)}
+    with pytest.raises(DataError, match=r"r\.csv:3: probe_rank 'x'"):
+        read_results_csv(results, by_source)

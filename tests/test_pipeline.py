@@ -18,7 +18,7 @@ from lineuplab.corpus import (
     ingest_landmarks,
     write_pgm,
 )
-from lineuplab.errors import ConfigError
+from lineuplab.errors import ConfigError, DataError
 from lineuplab.imgfeat import FeatureVector, read_feature_csv, write_feature_csv
 from lineuplab.lineup import OutcomeTable
 from lineuplab.pipeline import (
@@ -105,11 +105,18 @@ def test_config_file_errors(tmp_path):
     ({"hook.timeout": "0"}, "hook.timeout"),
     ({"hook.failure_threshold": "-0.1"}, "hook.failure_threshold"),
     ({"hook.failure_threshold": "1.5"}, "hook.failure_threshold"),
+    ({"train.seed": 1.5}, "train.seed"),
+    ({"parallelism": True}, "parallelism"),
+    ({"lineup.distinct_fillers": 1}, "lineup.distinct_fillers"),
+    ({"curation.dark_threshold": False}, "curation.dark_threshold"),
+    ({"predict.threshold": [0.5]}, "predict.threshold"),
+    ({"paths.images": 7}, "paths.images"),
+    ({"paths.output": None}, "paths.output"),
 ])
 def test_config_validation_errors(overrides, message, tmp_path):
     with pytest.raises(ConfigError, match=message):
         load_config(None, overrides)
-    # The same string value inside a config file fails the same way.
+    # The same value inside a config file fails the same way.
     nested = {}
     for dotted, value in overrides.items():
         *sections, leaf = dotted.split(".")
@@ -130,6 +137,12 @@ def test_config_value_parsing():
     assert load_config(None, {"predict.threshold": "0.30"}).threshold_override == 0.30
     with pytest.raises(ConfigError, match="boolean"):
         load_config(None, {"lineup.distinct_fillers": "maybe"})
+    # Non-string values of the leaf's own type, and null where it defaults
+    # to null, are taken as they are.
+    config = load_config(None, {"curation.dark_threshold": 25, "predict.threshold": None,
+                                "paths.model": None, "train.seed": 3})
+    assert (config.dark_threshold, config.threshold_override) == (25, None)
+    assert (config.model, config.train_seed) == (None, 3)
 
 
 def test_output_guard_removes_tracked_files_on_failure(tmp_path):
@@ -194,6 +207,17 @@ def test_hook_spawn_failure(tmp_path):
     record = hook.run("img", tmp_path / "a", tmp_path / "b")
     assert not record.ok
     assert "spawn failed" in record.detail
+
+
+def test_run_hook_rejects_ids_that_leave_their_directory(tmp_path):
+    images = tmp_path / "images"
+    images.mkdir()
+    (tmp_path / "escape.pgm").write_bytes(b"P5\n3 3\n255\n" + bytes(9))
+    config = PipelineConfig(images=str(images), output=str(tmp_path / "out"),
+                            hook_command="cp {input} {output}")
+    with pytest.raises(DataError, match="escape"):
+        pipeline.run_hook(config, ["../escape"])
+    assert not (tmp_path / "out" / "escape.pgm").exists()
 
 
 # ---------------------------------------------------------------------------
