@@ -9,12 +9,23 @@ File formats
 Embedding JSONL: one object per line,
     {"image_id": str, "identity_id": str, "vector": [float, ...]}
 
-Embedding binary ("LNUP"): magic bytes ``LNUP``; little-endian u32 dim and
-u64 count; then per record u16 id length, id bytes (UTF-8), u16 identity
-length, identity bytes, and dim float32 values (little-endian). Round-trips
-are bit-exact.
+Binary containers: the embedding file ("LNUP", ``embeddings.bin`` and
+``curated_embeddings.bin``) and the search index ("LNUI", ``search.index``)
+share one layout, written and read only by ``write_container`` and
+``read_container``. Each file is 4 magic bytes, a little-endian header
+starting with u32 dim and u64 count, then per record a u16 id length, the id
+bytes (UTF-8), a u16 identity length, the identity bytes, and dim
+little-endian floats.
+
+    format  header                   vectors
+    LNUP    <IQ  dim, count          float32 (<f4)
+    LNUI    <IQB dim, count, flags   float64 (<f8); flags bit 0 marks the
+                                     vectors as already unit-normalized
+
+Round-trips are bit-exact.
 
 Landmark JSONL: {"image_id": str, "points": [[x, y] x 68], "face_count": int}
+with ``face_count`` a JSON integer >= 1, 1 when absent.
 
 Image: binary PGM (P5), maxval 255. The file for an image id is expected at
 ``<directory>/<image_id>.pgm``; an id that could name a file outside the
@@ -31,7 +42,7 @@ from pathlib import Path
 import numpy as np
 
 from lineuplab import filters
-from lineuplab.errors import DataError
+from lineuplab.errors import DataError, open_text
 
 ImageId = str
 
@@ -167,24 +178,21 @@ def _make_handle(ids, identities, matrix, source: str) -> CorpusHandle:
     return CorpusHandle(tuple(ids), tuple(identities), matrix, identity_index, manifest, row_of)
 
 
-def _validate_record(image_id: str, identity_id: str, vector: np.ndarray,
-                     dim: int | None, seen: set, where: str) -> int:
-    if not image_id:
-        raise DataError(f"{where}: empty image_id")
-    if image_id in seen:
-        raise DataError(f"{where}: duplicate image_id {image_id!r}")
-    seen.add(image_id)
-    if vector.ndim != 1 or vector.size == 0:
-        raise DataError(f"{where}: record {image_id!r} has no vector components")
-    if dim is None:
-        dim = vector.size
-    elif vector.size != dim:
-        raise DataError(
-            f"{where}: record {image_id!r} has dimension {vector.size}, expected {dim}"
-        )
-    if not np.all(np.isfinite(vector)):
-        raise DataError(f"{where}: record {image_id!r} has non-finite components")
-    return dim
+def _validate_block(ids, matrix: np.ndarray, label) -> None:
+    """Reject empty ids, duplicate ids and non-finite rows over a whole
+    corpus at once; ``label(n)`` names record n, the first bad one."""
+    if "" in ids:
+        raise DataError(f"{label(ids.index(''))}: empty image_id")
+    if len(set(ids)) != len(ids):
+        seen: set[str] = set()
+        for n, image_id in enumerate(ids):
+            if image_id in seen:
+                raise DataError(f"{label(n)}: duplicate image_id {image_id!r}")
+            seen.add(image_id)
+    bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
+    if bad.size:
+        n = int(bad[0])
+        raise DataError(f"{label(n)}: record {ids[n]!r} has non-finite components")
 
 
 def ingest_embeddings(path, expected_dim: int | None = None) -> CorpusHandle:
@@ -199,7 +207,7 @@ def ingest_embeddings(path, expected_dim: int | None = None) -> CorpusHandle:
     with open(path, "rb") as fh:
         magic = fh.read(4)
     if magic == BINARY_MAGIC:
-        ids, identities, matrix = _read_binary(path)
+        _, ids, identities, matrix = read_container(path, BINARY_MAGIC, _HEADER, "<f4")
     else:
         ids, identities, matrix = _read_jsonl(path)
     if expected_dim is not None and matrix.shape[1] != expected_dim:
@@ -209,13 +217,9 @@ def ingest_embeddings(path, expected_dim: int | None = None) -> CorpusHandle:
     return _make_handle(ids, identities, matrix, str(path))
 
 
-def _read_jsonl(path: Path):
-    ids: list[str] = []
-    identities: list[str] = []
-    vectors: list[np.ndarray] = []
-    dim: int | None = None
-    seen: set[str] = set()
-    with open(path, "r", encoding="utf-8") as fh:
+def json_objects(path: Path):
+    """(location, object) for each non-blank line of a JSONL file."""
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -227,94 +231,125 @@ def _read_jsonl(path: Path):
                 raise DataError(f"{where}: malformed JSON ({exc.msg})") from None
             if not isinstance(obj, dict):
                 raise DataError(f"{where}: expected an object per line")
-            try:
-                image_id = obj["image_id"]
-                identity = obj["identity_id"]
-                raw = obj["vector"]
-            except KeyError as exc:
-                raise DataError(f"{where}: missing field {exc.args[0]!r}") from None
-            if not isinstance(image_id, str) or not isinstance(identity, str):
-                raise DataError(f"{where}: image_id and identity_id must be strings")
-            try:
-                vec = np.asarray(raw, dtype=np.float32)
-            except (TypeError, ValueError):
-                raise DataError(f"{where}: vector is not a numeric array") from None
-            dim = _validate_record(image_id, identity, vec, dim, seen, where)
-            ids.append(image_id)
-            identities.append(identity)
-            vectors.append(vec)
+            yield where, obj
+
+
+def _read_jsonl(path: Path):
+    ids: list[str] = []
+    identities: list[str] = []
+    vectors: list[np.ndarray] = []
+    wheres: list[str] = []
+    dim: int | None = None
+    for where, obj in json_objects(path):
+        try:
+            image_id = obj["image_id"]
+            identity = obj["identity_id"]
+            raw = obj["vector"]
+        except KeyError as exc:
+            raise DataError(f"{where}: missing field {exc.args[0]!r}") from None
+        if not isinstance(image_id, str) or not isinstance(identity, str):
+            raise DataError(f"{where}: image_id and identity_id must be strings")
+        try:
+            vec = np.asarray(raw, dtype=np.float32)
+        except (TypeError, ValueError):
+            raise DataError(f"{where}: vector is not a numeric array") from None
+        if vec.ndim != 1 or vec.size == 0:
+            raise DataError(f"{where}: record {image_id!r} has no vector components")
+        if dim is None:
+            dim = vec.size
+        elif vec.size != dim:
+            raise DataError(
+                f"{where}: record {image_id!r} has dimension {vec.size}, expected {dim}"
+            )
+        ids.append(image_id)
+        identities.append(identity)
+        vectors.append(vec)
+        wheres.append(where)
     if not ids:
         raise DataError(f"{path}: no records")
-    return ids, identities, np.vstack(vectors)
+    matrix = np.vstack(vectors)
+    _validate_block(ids, matrix, lambda n: wheres[n])
+    return ids, identities, matrix
 
 
-def _read_binary(path: Path):
+def write_container(path, magic: bytes, header_bytes: bytes, ids, identities,
+                    matrix, dtype) -> Path:
+    """Write a binary container: ``magic``, the packed header, then one
+    record per row of ``matrix``, its vector stored as ``dtype``."""
+    path = Path(path)
+    parts = [magic, header_bytes]
+    for n, (image_id, identity, row) in enumerate(
+        zip(ids, identities, np.ascontiguousarray(matrix, dtype=dtype))
+    ):
+        id_b = image_id.encode("utf-8")
+        ident_b = identity.encode("utf-8")
+        if len(id_b) > 0xFFFF or len(ident_b) > 0xFFFF:
+            raise DataError(f"record {n} ({image_id[:40]!r}): id or identity longer "
+                            f"than 65535 UTF-8 bytes")
+        parts += (_U16.pack(len(id_b)), id_b, _U16.pack(len(ident_b)), ident_b, row.tobytes())
+    path.write_bytes(b"".join(parts))
+    return path
+
+
+def read_container(path, magic: bytes, header: struct.Struct, dtype):
+    """Parse a binary container into (header fields, ids, identities, matrix).
+
+    The header must start with dim and count. The loop reads only the two
+    length-prefixed strings of each record and gathers the vectors into one
+    buffer, which becomes the (count, dim) ``dtype`` matrix.
+    """
+    path = Path(path)
     data = path.read_bytes()
-    if len(data) < 4 + _HEADER.size:
+    if data[:4] != magic:
+        raise DataError(f"{path}: not a {magic.decode('ascii')} container")
+    if len(data) < 4 + header.size:
         raise DataError(f"{path}: truncated header")
-    dim, count = _HEADER.unpack_from(data, 4)
+    fields = header.unpack_from(data, 4)
+    dim, count = fields[:2]
     if dim == 0:
         raise DataError(f"{path}: header declares dimension 0")
-    offset = 4 + _HEADER.size
-    vec_bytes = 4 * dim
+    offset = 4 + header.size
+    vec_bytes = np.dtype(dtype).itemsize * dim
     # Every record holds two length prefixes and its vector.
     if count * (4 + vec_bytes) > len(data) - offset:
         raise DataError(f"{path}: header declares {count} records of dimension {dim}, "
                         f"more than the file holds")
     ids: list[str] = []
     identities: list[str] = []
-    matrix = np.empty((count, dim), dtype=np.float32)
-    seen: set[str] = set()
+    block = np.empty(count * vec_bytes, dtype=np.uint8)
+    src, dst = memoryview(data), memoryview(block)
     for n in range(count):
-        where = f"{path} record {n}"
         try:
             (id_len,) = _U16.unpack_from(data, offset)
-            offset += 2
-            image_id = data[offset : offset + id_len].decode("utf-8")
-            if len(data) < offset + id_len:
-                raise struct.error
-            offset += id_len
+            start, offset = offset + 2, offset + 2 + id_len
+            ids.append(data[start:offset].decode("utf-8"))
             (ident_len,) = _U16.unpack_from(data, offset)
-            offset += 2
-            identity = data[offset : offset + ident_len].decode("utf-8")
-            if len(data) < offset + ident_len:
+            start, offset = offset + 2, offset + 2 + ident_len
+            if offset + vec_bytes > len(data):
                 raise struct.error
-            offset += ident_len
-            if len(data) < offset + vec_bytes:
-                raise struct.error
-            vec = np.frombuffer(data, dtype="<f4", count=dim, offset=offset).astype(
-                np.float32, copy=True
-            )
-            offset += vec_bytes
+            identities.append(data[start:offset].decode("utf-8"))
         except (struct.error, UnicodeDecodeError):
-            raise DataError(f"{where}: truncated or malformed") from None
-        _validate_record(image_id, identity, vec, dim, seen, where)
-        ids.append(image_id)
-        identities.append(identity)
-        matrix[n] = vec
+            raise DataError(f"{path} record {n}: truncated or malformed") from None
+        dst[n * vec_bytes : (n + 1) * vec_bytes] = src[offset : offset + vec_bytes]
+        offset += vec_bytes
     if offset != len(data):
         raise DataError(f"{path}: {len(data) - offset} trailing bytes after last record")
     if count == 0:
         raise DataError(f"{path}: no records")
-    return ids, identities, matrix
+    # Free the file bytes before the checks allocate their temporaries, so
+    # the peak stays at the file plus one vector block.
+    del src, data
+    matrix = np.frombuffer(block, dtype=dtype).reshape(count, dim)
+    _validate_block(ids, matrix, lambda n: f"{path} record {n}")
+    return fields, ids, identities, matrix
 
 
 def write_embeddings(corpus: CorpusHandle, path, fmt: str = "binary") -> Path:
     """Persist a corpus as the LNUP binary container or as JSONL."""
     path = Path(path)
     if fmt == "binary":
-        parts = [BINARY_MAGIC, _HEADER.pack(corpus.dim, corpus.count)]
-        for image_id, identity, row in zip(corpus.ids, corpus.identities, corpus.matrix):
-            id_b = image_id.encode("utf-8")
-            ident_b = identity.encode("utf-8")
-            if len(id_b) > 0xFFFF or len(ident_b) > 0xFFFF:
-                raise DataError(f"id or identity too long to serialize: {image_id!r}")
-            parts.append(_U16.pack(len(id_b)))
-            parts.append(id_b)
-            parts.append(_U16.pack(len(ident_b)))
-            parts.append(ident_b)
-            parts.append(np.ascontiguousarray(row, dtype="<f4").tobytes())
-        path.write_bytes(b"".join(parts))
+        write_container(path, BINARY_MAGIC, _HEADER.pack(corpus.dim, corpus.count),
+                        corpus.ids, corpus.identities, corpus.matrix, "<f4")
     elif fmt == "jsonl":
         with open(path, "w", encoding="utf-8") as fh:
             for image_id, identity, row in zip(corpus.ids, corpus.identities, corpus.matrix):
@@ -337,48 +372,36 @@ def ingest_landmarks(path) -> LandmarkTable:
         raise DataError(f"landmark file not found: {path}")
     table: LandmarkTable = {}
     entries_seen: dict[str, int] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            where = f"{path}:{lineno}"
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{where}: malformed JSON ({exc.msg})") from None
-            if not isinstance(obj, dict):
-                raise DataError(f"{where}: expected an object per line")
-            try:
-                image_id = obj["image_id"]
-                raw_points = obj["points"]
-            except KeyError as exc:
-                raise DataError(f"{where}: missing field {exc.args[0]!r}") from None
-            if not isinstance(image_id, str):
-                raise DataError(f"{where}: image_id must be a string")
-            try:
-                declared = int(obj.get("face_count", 1))
-            except (TypeError, ValueError):
-                raise DataError(f"{where}: face_count is not an integer") from None
-            try:
-                points = np.asarray(raw_points, dtype=np.float64)
-            except (TypeError, ValueError):
-                raise DataError(f"{where}: points are not a numeric array") from None
-            if points.shape != (LANDMARK_POINT_COUNT, 2):
-                raise DataError(
-                    f"{where}: image {image_id!r} has {points.shape[0] if points.ndim else 0} "
-                    f"points, expected {LANDMARK_POINT_COUNT}"
-                )
-            if not np.all(np.isfinite(points)):
-                raise DataError(f"{where}: image {image_id!r} has non-finite coordinates")
-            entries_seen[image_id] = entries_seen.get(image_id, 0) + 1
-            if image_id in table:
-                prev = table[image_id]
-                count = max(prev.face_count, declared, entries_seen[image_id])
-                table[image_id] = LandmarkSet(image_id, prev.points, count)
-            else:
-                points.flags.writeable = False
-                table[image_id] = LandmarkSet(image_id, points, max(declared, 1))
+    for where, obj in json_objects(path):
+        try:
+            image_id = obj["image_id"]
+            raw_points = obj["points"]
+        except KeyError as exc:
+            raise DataError(f"{where}: missing field {exc.args[0]!r}") from None
+        if not isinstance(image_id, str):
+            raise DataError(f"{where}: image_id must be a string")
+        declared = obj.get("face_count", 1)
+        if type(declared) is not int or declared < 1:
+            raise DataError(f"{where}: face_count must be an integer >= 1, got {declared!r}")
+        try:
+            points = np.asarray(raw_points, dtype=np.float64)
+        except (TypeError, ValueError):
+            raise DataError(f"{where}: points are not a numeric array") from None
+        if points.shape != (LANDMARK_POINT_COUNT, 2):
+            raise DataError(
+                f"{where}: image {image_id!r} has {points.shape[0] if points.ndim else 0} "
+                f"points, expected {LANDMARK_POINT_COUNT}"
+            )
+        if not np.all(np.isfinite(points)):
+            raise DataError(f"{where}: image {image_id!r} has non-finite coordinates")
+        entries_seen[image_id] = entries_seen.get(image_id, 0) + 1
+        if image_id in table:
+            prev = table[image_id]
+            count = max(prev.face_count, declared, entries_seen[image_id])
+            table[image_id] = LandmarkSet(image_id, prev.points, count)
+        else:
+            points.flags.writeable = False
+            table[image_id] = LandmarkSet(image_id, points, declared)
     return table
 
 

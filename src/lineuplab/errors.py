@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the text-file opener that
+turns undecodable input into one of them."""
+
+from contextlib import contextmanager
 
 
 class LineupLabError(Exception):
@@ -15,3 +18,14 @@ class DataError(LineupLabError):
 
 class HookError(LineupLabError):
     """External restoration hook failed beyond the configured tolerance."""
+
+
+@contextmanager
+def open_text(path, error: type[LineupLabError] = DataError, newline=None):
+    """Open ``path`` for reading as UTF-8. Bytes that do not decode, wherever
+    the body reads them, raise ``error`` naming the file."""
+    try:
+        with open(path, "r", encoding="utf-8", newline=newline) as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text ({exc.reason})") from None

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from lineuplab.errors import DataError
+from lineuplab.errors import DataError, open_text
 from lineuplab.failpred.ensemble import (
     BaseClassifierConfig,
     EnsembleModel,
@@ -134,7 +134,7 @@ def load_model(path) -> EnsembleModel:
     if not path.is_file():
         raise DataError(f"model artifact not found: {path}")
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open_text(path) as fh:
             payload = json.load(fh)
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: malformed model artifact ({exc.msg})") from None

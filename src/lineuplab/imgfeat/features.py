@@ -18,7 +18,7 @@ import numpy as np
 
 from lineuplab import filters
 from lineuplab.corpus import EmbeddingRecord, ImageGray, LandmarkSet
-from lineuplab.errors import DataError
+from lineuplab.errors import DataError, open_text
 from lineuplab.imgfeat.geometry import GEOMETRY_FEATURE_NAMES, geometry_features
 
 DARK_THRESHOLD = 50
@@ -232,7 +232,7 @@ def read_feature_csv(path):
     path = Path(path)
     if not path.is_file():
         raise DataError(f"feature file not found: {path}")
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open_text(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if not header or header[:2] != ["image_id", "label"]:

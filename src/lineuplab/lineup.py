@@ -20,8 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from lineuplab import simindex
-from lineuplab.corpus import CorpusHandle, ImageId
-from lineuplab.errors import DataError
+from lineuplab.corpus import CorpusHandle, ImageId, json_objects
+from lineuplab.errors import DataError, open_text
 from lineuplab.simindex import ExcludeIdentity, SearchIndex
 
 FILLER_COUNT = 5
@@ -324,21 +324,16 @@ def read_lineup_manifest(path) -> list[Lineup]:
     if not path.is_file():
         raise DataError(f"lineup manifest not found: {path}")
     out: list[Lineup] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                out.append(Lineup(
-                    source=obj["source"],
-                    fillers=tuple(obj["fillers"]),
-                    probe=obj["probe"],
-                    seed=int(obj["seed"]),
-                ))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise DataError(f"{path}:{lineno}: malformed lineup entry ({exc})") from None
+    for where, obj in json_objects(path):
+        try:
+            out.append(Lineup(
+                source=obj["source"],
+                fillers=tuple(obj["fillers"]),
+                probe=obj["probe"],
+                seed=int(obj["seed"]),
+            ))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"{where}: malformed lineup entry ({exc})") from None
     return out
 
 
@@ -357,7 +352,7 @@ def read_results_csv(path, lineups_by_source: dict[ImageId, Lineup]) -> list[Lin
     if not path.is_file():
         raise DataError(f"results file not found: {path}")
     out: list[LineupResult] = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open_text(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != ["source_id", "probe_rank", "success"]:

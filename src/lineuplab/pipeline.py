@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import shlex
 import subprocess
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,7 @@ from lineuplab import corpus as corpus_mod
 from lineuplab import lineup as lineup_mod
 from lineuplab import simindex
 from lineuplab.corpus import CurationConfig, ImageId, ingest_embeddings, ingest_landmarks
-from lineuplab.errors import ConfigError, DataError, HookError
+from lineuplab.errors import ConfigError, DataError, HookError, open_text
 from lineuplab.failpred.ensemble import (
     EnsembleConfig,
     dataset_from_arrays,
@@ -209,7 +210,8 @@ def load_config(path=None, overrides: dict | None = None) -> PipelineConfig:
         if not path.is_file():
             raise ConfigError(f"config file not found: {path}")
         try:
-            raw = json.loads(path.read_text(encoding="utf-8"))
+            with open_text(path, ConfigError) as fh:
+                raw = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: malformed JSON ({exc.msg})") from None
         if not isinstance(raw, dict):
@@ -237,23 +239,35 @@ def _require(config: PipelineConfig, attr: str, dotted: str) -> Path:
 
 
 class _OutputGuard:
-    """Removes this run's partially written artifacts when a step fails."""
+    """Commit-on-success artifact writes.
+
+    ``track`` hands out a sibling temp path to write instead of the final
+    name. A clean exit moves every temp file onto its final name with
+    ``os.replace``; an exception, Ctrl-C included, removes the temp files
+    and leaves the previous artifacts untouched.
+    """
 
     def __init__(self):
-        self.paths: list[Path] = []
+        self.pending: dict[Path, Path] = {}
 
     def track(self, path: Path) -> Path:
-        self.paths.append(Path(path))
-        return Path(path)
+        path = Path(path)
+        temp = path.with_name(path.name + ".tmp")
+        self.pending[path] = temp
+        return temp
 
     def __enter__(self):
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        if exc_type is not None:
-            for path in self.paths:
+        try:
+            if exc_type is None:
+                for path, temp in self.pending.items():
+                    os.replace(temp, path)
+        finally:
+            for temp in self.pending.values():
                 try:
-                    path.unlink(missing_ok=True)
+                    temp.unlink(missing_ok=True)
                 except OSError:
                     pass
         return False
@@ -368,7 +382,8 @@ def run_lineups(config: PipelineConfig):
         except DataError as exc:
             skipped.append((source, str(exc)))
     Path(config.output).mkdir(parents=True, exist_ok=True)
-    write_lineup_manifest(lineups, config.out(MANIFEST_FILE))
+    with _OutputGuard() as guard:
+        write_lineup_manifest(lineups, guard.track(config.out(MANIFEST_FILE)))
     return lineups, skipped
 
 
@@ -423,9 +438,9 @@ def run_features(config: PipelineConfig) -> Path:
     vectors = extract_features(config, handle, landmarks, items)
     full_labels = {fv.image_id: labels.get(fv.image_id, 0) for fv in vectors}
     Path(config.output).mkdir(parents=True, exist_ok=True)
+    path = config.out(FEATURES_FILE)
     with _OutputGuard() as guard:
-        path = guard.track(config.out(FEATURES_FILE))
-        write_feature_csv(vectors, full_labels, path)
+        write_feature_csv(vectors, full_labels, guard.track(path))
     return path
 
 
@@ -476,8 +491,8 @@ def run_predict(config: PipelineConfig):
     predicted = proba >= model.threshold
     Path(config.output).mkdir(parents=True, exist_ok=True)
     with _OutputGuard() as guard:
-        path = guard.track(config.out(PREDICTIONS_FILE))
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        with open(guard.track(config.out(PREDICTIONS_FILE)), "w", encoding="utf-8",
+                  newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(("source_id", "probability", "predicted_failure"))
             for sid, p, flag in zip(ids, proba, predicted):
@@ -504,14 +519,15 @@ def run_hook(config: PipelineConfig, member_ids) -> dict[ImageId, HookRecord]:
             corpus_mod.image_path(images_dir, image_id),
             corpus_mod.image_path(restored_dir, image_id),
         )
-    _write_json(config.out(HOOK_STATUS_FILE), {
-        "records": [
-            {"image_id": r.image_id, "ok": r.ok, "detail": r.detail}
-            for r in records.values()
-        ],
-        "failed": sum(not r.ok for r in records.values()),
-        "total": len(records),
-    })
+    with _OutputGuard() as guard:
+        _write_json(guard.track(config.out(HOOK_STATUS_FILE)), {
+            "records": [
+                {"image_id": r.image_id, "ok": r.ok, "detail": r.detail}
+                for r in records.values()
+            ],
+            "failed": sum(not r.ok for r in records.values()),
+            "total": len(records),
+        })
     return records
 
 
@@ -588,30 +604,20 @@ def write_outcome_csv(table: OutcomeTable, path) -> Path:
 def emit_reports(config: PipelineConfig, bundle: ComparisonBundle) -> list[Path]:
     """Rank-change CSV, the two outcome tables, and the full JSON detail."""
     Path(config.output).mkdir(parents=True, exist_ok=True)
+    names = (RANK_CHANGES_FILE, OUTCOMES_TP_FILE, OUTCOMES_FP_FILE, COMPARISON_FILE)
+    paths = [config.out(name) for name in names]
     with _OutputGuard() as guard:
-        paths = [
-            write_rank_change_csv(bundle.report, guard.track(config.out(RANK_CHANGES_FILE))),
-            write_outcome_csv(bundle.table_true_positive, guard.track(config.out(OUTCOMES_TP_FILE))),
-            write_outcome_csv(bundle.table_false_positive, guard.track(config.out(OUTCOMES_FP_FILE))),
-            _write_json(guard.track(config.out(COMPARISON_FILE)), comparison_payload(bundle)),
-        ]
+        rank_changes, tp, fp, detail = (guard.track(path) for path in paths)
+        write_rank_change_csv(bundle.report, rank_changes)
+        write_outcome_csv(bundle.table_true_positive, tp)
+        write_outcome_csv(bundle.table_false_positive, fp)
+        _write_json(detail, comparison_payload(bundle))
     return paths
 
 
 def comparison_payload(bundle: ComparisonBundle) -> dict:
-    def table_obj(table: OutcomeTable) -> dict:
-        return {
-            "improvements": table.improvements,
-            "degradations": table.degradations,
-            "unchanged": table.unchanged,
-            "success_conversions": table.success_conversions,
-            "failed_restorations": table.failed_restorations,
-            "total": table.total,
-            "percentages": table.percentages,
-            "mean_improvement": table.mean_improvement,
-            "mean_degradation": table.mean_degradation,
-        }
-
+    """The comparison detail; each outcome table is stored field for field,
+    so ``run_report`` rebuilds it with ``OutcomeTable(**obj)``."""
     return {
         "per_lineup": [
             {"source": r.lineup_id, "rank_before": r.rank_before,
@@ -624,8 +630,8 @@ def comparison_payload(bundle: ComparisonBundle) -> dict:
              "percentage": bundle.report.histogram[c][1]}
             for c in sorted(bundle.report.histogram)
         ],
-        "true_positive_table": table_obj(bundle.table_true_positive),
-        "false_positive_table": table_obj(bundle.table_false_positive),
+        "true_positive_table": asdict(bundle.table_true_positive),
+        "false_positive_table": asdict(bundle.table_false_positive),
     }
 
 
@@ -718,11 +724,10 @@ def run_ingest(config: PipelineConfig, fmt: str = "binary") -> Path:
     embeddings_path = _require(config, "embeddings_original", "paths.embeddings_original")
     handle = ingest_embeddings(embeddings_path)
     Path(config.output).mkdir(parents=True, exist_ok=True)
-    suffix = "bin" if fmt == "binary" else "jsonl"
+    path = config.out("embeddings.bin" if fmt == "binary" else "embeddings.jsonl")
     with _OutputGuard() as guard:
-        return corpus_mod.write_embeddings(
-            handle, guard.track(config.out(f"embeddings.{suffix}")), fmt=fmt
-        )
+        corpus_mod.write_embeddings(handle, guard.track(path), fmt=fmt)
+    return path
 
 
 def run_index(config: PipelineConfig) -> Path:
@@ -730,8 +735,10 @@ def run_index(config: PipelineConfig) -> Path:
     handle = ingest_embeddings(embeddings_path)
     index = simindex.build_index(handle)
     Path(config.output).mkdir(parents=True, exist_ok=True)
+    path = config.out(INDEX_FILE)
     with _OutputGuard() as guard:
-        return simindex.save_index(index, guard.track(config.out(INDEX_FILE)))
+        simindex.save_index(index, guard.track(path))
+    return path
 
 
 def run_report(config: PipelineConfig) -> list[Path]:
@@ -739,31 +746,24 @@ def run_report(config: PipelineConfig) -> list[Path]:
     comparison_path = config.out(COMPARISON_FILE)
     if not comparison_path.is_file():
         raise ConfigError(f"comparison detail not found: {comparison_path} (run 'compare' first)")
-    payload = json.loads(comparison_path.read_text(encoding="utf-8"))
-    records = tuple(
-        lineup_mod.RankChangeRecord(o["source"], o["rank_before"], o["rank_after"])
-        for o in payload["per_lineup"]
-    )
-    report = RankChangeReport(records, change_histogram(records), tuple(payload["failed"]))
+    try:
+        with open_text(comparison_path) as fh:
+            payload = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{comparison_path}: malformed JSON ({exc.msg})") from None
 
-    def table_from(obj) -> OutcomeTable:
-        return OutcomeTable(
-            improvements=obj["improvements"],
-            degradations=obj["degradations"],
-            unchanged=obj["unchanged"],
-            success_conversions=obj["success_conversions"],
-            failed_restorations=obj["failed_restorations"],
-            total=obj["total"],
-            percentages=obj["percentages"],
-            mean_improvement=obj["mean_improvement"],
-            mean_degradation=obj["mean_degradation"],
+    paths = [config.out(name) for name in (RANK_CHANGES_FILE, OUTCOMES_TP_FILE, OUTCOMES_FP_FILE)]
+    try:
+        records = tuple(
+            lineup_mod.RankChangeRecord(o["source"], o["rank_before"], o["rank_after"])
+            for o in payload["per_lineup"]
         )
-
-    with _OutputGuard() as guard:
-        return [
-            write_rank_change_csv(report, guard.track(config.out(RANK_CHANGES_FILE))),
-            write_outcome_csv(table_from(payload["true_positive_table"]),
-                              guard.track(config.out(OUTCOMES_TP_FILE))),
-            write_outcome_csv(table_from(payload["false_positive_table"]),
-                              guard.track(config.out(OUTCOMES_FP_FILE))),
-        ]
+        report = RankChangeReport(records, change_histogram(records), tuple(payload["failed"]))
+        with _OutputGuard() as guard:
+            rank_changes, tp, fp = (guard.track(path) for path in paths)
+            write_rank_change_csv(report, rank_changes)
+            write_outcome_csv(OutcomeTable(**payload["true_positive_table"]), tp)
+            write_outcome_csv(OutcomeTable(**payload["false_positive_table"]), fp)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{comparison_path}: incomplete comparison detail ({exc!r})") from None
+    return paths

@@ -19,12 +19,17 @@ from pathlib import Path
 
 import numpy as np
 
-from lineuplab.corpus import CorpusHandle, ImageId, _make_handle
+from lineuplab.corpus import (
+    CorpusHandle,
+    ImageId,
+    _make_handle,
+    read_container,
+    write_container,
+)
 from lineuplab.errors import DataError
 
 INDEX_MAGIC = b"LNUI"
-_HEADER = struct.Struct("<IQB")
-_U16 = struct.Struct("<H")
+_HEADER = struct.Struct("<IQB")  # dim, count, flags (bit 0: unit-normalized)
 
 DEFAULT_BATCH_SIZE = 256
 
@@ -285,71 +290,24 @@ def _hits(index: SearchIndex, rows: np.ndarray, scores: np.ndarray) -> tuple[Sea
 
 
 # ---------------------------------------------------------------------------
-# Index persistence: the embedding container layout plus a flags byte whose
-# low bit marks vectors as already unit-normalized.
+# Index persistence
 
 
 def save_index(index: SearchIndex, path) -> Path:
-    path = Path(path)
-    parts = [INDEX_MAGIC, _HEADER.pack(index.dim, index.count, 1)]
-    for image_id, identity, row in zip(
-        index.corpus.ids, index.corpus.identities, index.normalized
-    ):
-        id_b = image_id.encode("utf-8")
-        ident_b = identity.encode("utf-8")
-        parts.append(_U16.pack(len(id_b)))
-        parts.append(id_b)
-        parts.append(_U16.pack(len(ident_b)))
-        parts.append(ident_b)
-        parts.append(np.ascontiguousarray(row, dtype="<f8").tobytes())
-    path.write_bytes(b"".join(parts))
-    return path
+    return write_container(path, INDEX_MAGIC, _HEADER.pack(index.dim, index.count, 1),
+                           index.corpus.ids, index.corpus.identities, index.normalized, "<f8")
 
 
 def load_index(path) -> SearchIndex:
     path = Path(path)
     if not path.is_file():
         raise DataError(f"index file not found: {path}")
-    data = path.read_bytes()
-    if data[:4] != INDEX_MAGIC:
-        raise DataError(f"{path}: not an index file")
-    if len(data) < 4 + _HEADER.size:
-        raise DataError(f"{path}: truncated header")
-    dim, count, flags = _HEADER.unpack_from(data, 4)
-    pre_normalized = bool(flags & 1)
-    offset = 4 + _HEADER.size
-    vec_bytes = 8 * dim
-    # Every record holds two length prefixes and its vector.
-    if count * (4 + vec_bytes) > len(data) - offset:
-        raise DataError(f"{path}: header declares {count} records of dimension {dim}, "
-                        f"more than the file holds")
-    ids: list[str] = []
-    identities: list[str] = []
-    matrix = np.empty((count, dim), dtype=np.float64)
-    for n in range(count):
-        try:
-            (id_len,) = _U16.unpack_from(data, offset)
-            offset += 2
-            image_id = data[offset : offset + id_len].decode("utf-8")
-            offset += id_len
-            (ident_len,) = _U16.unpack_from(data, offset)
-            offset += 2
-            identity = data[offset : offset + ident_len].decode("utf-8")
-            offset += ident_len
-            if len(data) < offset + vec_bytes:
-                raise struct.error
-            matrix[n] = np.frombuffer(data, dtype="<f8", count=dim, offset=offset)
-            offset += vec_bytes
-        except (struct.error, UnicodeDecodeError):
-            raise DataError(f"{path} record {n}: truncated or malformed") from None
-        ids.append(image_id)
-        identities.append(identity)
-    if offset != len(data):
-        raise DataError(f"{path}: trailing bytes after last record")
+    with open(path, "rb") as fh:
+        if fh.read(4) != INDEX_MAGIC:
+            raise DataError(f"{path}: not an index file")
+    (_, _, flags), ids, identities, matrix = read_container(path, INDEX_MAGIC, _HEADER, "<f8")
     handle = _make_handle(ids, identities, matrix.astype(np.float32), str(path))
-    if not pre_normalized:
+    if not flags & 1:
         return build_index(handle)
-    normalized = np.ascontiguousarray(matrix)
-    normalized.flags.writeable = False
-    return SearchIndex(corpus=handle, normalized=normalized,
-                       id_order=_id_rank_order(ids))
+    matrix.flags.writeable = False
+    return SearchIndex(corpus=handle, normalized=matrix, id_order=_id_rank_order(ids))

@@ -22,6 +22,7 @@ from lineuplab.corpus import (
     write_pgm,
 )
 from lineuplab.errors import DataError
+from lineuplab.simindex import build_index, load_index, save_index
 
 
 def test_jsonl_ingest_basic(tmp_path, rng):
@@ -143,6 +144,22 @@ def test_binary_rejects_header_larger_than_file(tmp_path, rng):
         ingest_embeddings(out)
 
 
+def test_every_truncated_container_is_a_data_error(tmp_path, rng):
+    """Both containers share one reader: every proper prefix of a small
+    embedding file and of a small index file is rejected."""
+    handle = make_corpus(tmp_path, rng, n_identities=2, per_identity=2, dim=3)
+    containers = (
+        (write_embeddings(handle, tmp_path / "c.bin").read_bytes(), ingest_embeddings),
+        (save_index(build_index(handle), tmp_path / "c.index").read_bytes(), load_index),
+    )
+    cut = tmp_path / "cut"
+    for data, load in containers:
+        for size in range(len(data)):
+            cut.write_bytes(data[:size])
+            with pytest.raises(DataError):
+                load(cut)
+
+
 def test_subset_preserves_order(tmp_path, rng):
     handle = make_corpus(tmp_path, rng, n_identities=3, per_identity=2, dim=4)
     sub = handle.subset(["p0002_i1", "p0000_i0"])
@@ -250,14 +267,26 @@ def test_landmark_rejects_wrong_shape(tmp_path, rng):
     ('{"image_id": "a", "points": [[1, 2], [3]], "face_count": 1}', "points"),
     ('{"image_id": ["a"], "points": POINTS, "face_count": 1}', "image_id"),
     ('[1, 2]', "object"),
+    ('{"image_id": "a", "points": POINTS, "face_count": 2.7}', "face_count"),
+    ('{"image_id": "a", "points": POINTS, "face_count": true}', "face_count"),
+    ('{"image_id": "a", "points": POINTS, "face_count": -3}', "face_count"),
+    ('{"image_id": "a", "points": POINTS, "face_count": 0}', "face_count"),
+    ('{"image_id": "a", "points": POINTS, "face_count": "2"}', "face_count"),
 ], ids=["face_count_text", "face_count_list", "points_text", "points_ragged",
-        "image_id_list", "not_an_object"])
+        "image_id_list", "not_an_object", "face_count_fraction", "face_count_bool",
+        "face_count_negative", "face_count_zero", "face_count_numeric_text"])
 def test_landmark_rejects_malformed_values(tmp_path, line, message):
     path = tmp_path / "lm.jsonl"
     good = json.dumps({"image_id": "b", "points": [[1.0, 2.0]] * 68, "face_count": 1})
     path.write_text(good + "\n" + line.replace("POINTS", json.dumps([[1.0, 2.0]] * 68)) + "\n")
     with pytest.raises(DataError, match=rf"lm\.jsonl:2: .*{message}"):
         ingest_landmarks(path)
+
+
+def test_landmark_face_count_defaults_to_one(tmp_path):
+    path = tmp_path / "lm.jsonl"
+    path.write_text(json.dumps({"image_id": "a", "points": [[1.0, 2.0]] * 68}) + "\n")
+    assert ingest_landmarks(path)["a"].face_count == 1
 
 
 def test_landmark_rejects_non_finite(tmp_path, rng):

@@ -5,6 +5,7 @@ import csv
 import json
 import shutil
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -19,8 +20,9 @@ from lineuplab.corpus import (
     write_pgm,
 )
 from lineuplab.errors import ConfigError, DataError
+from lineuplab.failpred.model_io import load_model
 from lineuplab.imgfeat import FeatureVector, read_feature_csv, write_feature_csv
-from lineuplab.lineup import OutcomeTable
+from lineuplab.lineup import OutcomeTable, read_lineup_manifest, read_results_csv
 from lineuplab.pipeline import (
     COMPARISON_FILE,
     CURATED_FILE,
@@ -146,21 +148,23 @@ def test_config_value_parsing():
 
 
 def test_output_guard_removes_tracked_files_on_failure(tmp_path):
-    target = tmp_path / "partial.txt"
-    survivor = tmp_path / "kept.txt"
-    survivor.write_text("keep me")
-    with pytest.raises(RuntimeError):
+    """Writes go to a temp file: an interrupted run removes it and keeps the
+    previous artifact, a clean run moves it onto the final name."""
+    target = tmp_path / "artifact.txt"
+    target.write_text("previous")
+    with pytest.raises(KeyboardInterrupt):
         with pipeline._OutputGuard() as guard:
-            guard.track(target)
-            target.write_text("partial")
-            raise RuntimeError("boom")
-    assert not target.exists()
-    assert survivor.exists()
+            guard.track(target).write_text("partial")
+            raise KeyboardInterrupt
+    assert target.read_text() == "previous"
+    assert [p.name for p in tmp_path.iterdir()] == ["artifact.txt"]
 
     with pipeline._OutputGuard() as guard:
-        guard.track(target)
-        target.write_text("complete")
+        temp = guard.track(target)
+        assert temp != target
+        temp.write_text("complete")
     assert target.read_text() == "complete"
+    assert [p.name for p in tmp_path.iterdir()] == ["artifact.txt"]
 
 
 # ---------------------------------------------------------------------------
@@ -417,6 +421,23 @@ def test_evaluate_is_deterministic(workspace, chain, tmp_path):
         assert runs[0][name] == (chain.out / name).read_bytes()
 
 
+def test_failed_evaluate_rerun_keeps_previous_artifacts(workspace, tmp_path, monkeypatch):
+    config = replace(load_config(workspace.config), output=str(tmp_path / "out"))
+    pipeline.run_evaluate(config)
+    names = (MANIFEST_FILE, RESULTS_FILE, SUMMARY_FILE)
+    first = {name: config.out(name).read_bytes() for name in names}
+
+    def write_half_then_fail(results, path):
+        Path(path).write_text("source_id,probe_rank,success\n")
+        raise RuntimeError("disk full")
+
+    monkeypatch.setattr(pipeline, "write_results_csv", write_half_then_fail)
+    with pytest.raises(RuntimeError, match="disk full"):
+        pipeline.run_evaluate(replace(config, lineup_seed=config.lineup_seed + 1))
+    assert {name: config.out(name).read_bytes() for name in names} == first
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == sorted(names)
+
+
 def test_features_rows_keyed_by_lineup_source(chain):
     ids, labels, matrix = read_feature_csv(chain.out / FEATURES_FILE)
     assert sorted(ids) == sorted(i for i, _, _ in _image_ids())
@@ -660,3 +681,53 @@ def test_cli_data_error_exits_2(tmp_path, capsys):
     ])
     assert code == 2
     assert "data error:" in capsys.readouterr().err
+
+
+def test_cli_index_rejects_overlong_id_exits_2(tmp_path, capsys):
+    corpus = tmp_path / "long_id.jsonl"
+    corpus.write_text("".join(
+        json.dumps({"image_id": image_id, "identity_id": "p", "vector": [1.0, 0.0]}) + "\n"
+        for image_id in ("a", "x" * 65_536)
+    ))
+    out = tmp_path / "out"
+    code = cli.main(["index", "--paths.embeddings_original", str(corpus),
+                     "--paths.output", str(out)])
+    assert code == 2
+    assert "65535" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("content", [
+    b'{"per_lineup": [',
+    b"{}",
+    b'{"per_lineup": [{"source": "a"}], "failed": []}',
+    b"\xff\xfe",
+], ids=["truncated_json", "empty_object", "incomplete_record", "not_utf8"])
+def test_cli_report_rejects_malformed_comparison_exits_2(tmp_path, capsys, content):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / COMPARISON_FILE).write_bytes(content)
+    assert cli.main(["report", "--paths.output", str(out)]) == 2
+    assert "comparison.json" in capsys.readouterr().err
+    assert [p.name for p in out.iterdir()] == [COMPARISON_FILE]
+
+
+# ---------------------------------------------------------------------------
+# Input files that are not UTF-8
+
+
+@pytest.mark.parametrize("read, error", [
+    (ingest_embeddings, DataError),
+    (ingest_landmarks, DataError),
+    (read_lineup_manifest, DataError),
+    (lambda path: read_results_csv(path, {}), DataError),
+    (read_feature_csv, DataError),
+    (load_model, DataError),
+    (load_config, ConfigError),
+], ids=["embeddings", "landmarks", "lineup_manifest", "results_csv", "feature_csv",
+        "model", "config"])
+def test_readers_reject_undecodable_bytes(tmp_path, read, error):
+    path = tmp_path / "input.txt"
+    path.write_bytes(b'{"image_id": "\xff\xfe"}\n')
+    with pytest.raises(error, match=r"input\.txt: not UTF-8"):
+        read(path)

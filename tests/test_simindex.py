@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -194,3 +196,23 @@ def test_load_index_rejects_garbage(tmp_path):
     oversized.write_bytes(simindex.INDEX_MAGIC + simindex._HEADER.pack(4, 2**40, 1) + bytes(64))
     with pytest.raises(DataError, match="more than the file holds"):
         load_index(oversized)
+
+    def index_file(name, dim, records):
+        body = b"".join(
+            struct.pack("<H", len(image_id)) + image_id.encode() + struct.pack("<H", 1) + b"p"
+            + np.asarray(vector, dtype="<f8").tobytes()
+            for image_id, vector in records
+        )
+        path = tmp_path / name
+        path.write_bytes(simindex.INDEX_MAGIC + simindex._HEADER.pack(dim, len(records), 1) + body)
+        return path
+
+    for name, dim, records, message in [
+        ("duplicate", 2, [("a", [1.0, 0.0]), ("b", [0.0, 1.0]), ("a", [0.6, 0.8])],
+         "record 2: duplicate image_id 'a'"),
+        ("nan", 2, [("a", [1.0, 0.0]), ("b", [np.nan, 1.0])], "record 1: .* non-finite"),
+        ("dim0", 0, [("a", []), ("b", [])], "dimension 0"),
+        ("empty", 2, [], "no records"),
+    ]:
+        with pytest.raises(DataError, match=message):
+            load_index(index_file(f"{name}.index", dim, records))
