@@ -50,7 +50,6 @@ def build_parser() -> argparse.ArgumentParser:
         "ingest": "validate a corpus file and rewrite it in a chosen container format",
         "curate": "drop images failing quality gates; write the curated corpus",
         "index": "build and persist the exact search index",
-        "lineups": "construct the lineup manifest without ranking",
         "evaluate": "build lineups, rank probes, and write the accuracy summary",
         "features": "extract per-lineup (or per-image) feature vectors to CSV",
         "train": "train the failure-prediction ensemble from a feature CSV",
@@ -84,9 +83,6 @@ def _run(args: argparse.Namespace) -> int:
     elif command == "index":
         path = pipeline.run_index(config)
         print(f"wrote {path}")
-    elif command == "lineups":
-        lineups, skipped = pipeline.run_lineups(config)
-        print(f"built {len(lineups)} lineups, skipped {len(skipped)} sources")
     elif command == "evaluate":
         report = pipeline.run_evaluate(config)
         if report is None:

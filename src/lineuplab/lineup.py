@@ -22,7 +22,7 @@ import numpy as np
 from lineuplab import simindex
 from lineuplab.corpus import CorpusHandle, ImageId, json_objects
 from lineuplab.errors import DataError, open_text
-from lineuplab.simindex import ExcludeIdentity, SearchIndex
+from lineuplab.simindex import SearchIndex
 
 FILLER_COUNT = 5
 LINEUP_SIZE = 6
@@ -120,14 +120,8 @@ def draw_probe(candidates, seed: int, source: ImageId) -> ImageId:
     return pool[int.from_bytes(digest[:8], "big") % len(pool)]
 
 
-def build_lineup(index: SearchIndex, corpus: CorpusHandle, source: ImageId, seed: int,
-                 distinct_filler_identities: bool = False) -> Lineup:
-    """Construct the lineup for one source image.
-
-    Fillers are the top five most similar images drawn from outside the
-    source's identity; with ``distinct_filler_identities`` each filler must
-    also come from a different identity.
-    """
+def _identity_group(corpus: CorpusHandle, source: ImageId) -> list[ImageId]:
+    """The source's identity group; raises when the source cannot form a lineup."""
     identity = corpus.identity_of(source)
     same = corpus.identity_index[identity]
     if len(same) < 2:
@@ -138,63 +132,129 @@ def build_lineup(index: SearchIndex, corpus: CorpusHandle, source: ImageId, seed
             f"source {source!r}: only {outside} images outside identity {identity!r}, "
             f"need {FILLER_COUNT} fillers"
         )
-    fillers = _pick_fillers(index, corpus, source, identity, distinct_filler_identities)
-    probe = draw_probe([i for i in same if i != source], seed, source)
-    return Lineup(source=source, fillers=fillers, probe=probe, seed=seed)
+    return same
 
 
-def _pick_fillers(index, corpus, source, identity, distinct) -> tuple[ImageId, ...]:
-    query = [(source, index.query_vector(source))]
-    exclude = ExcludeIdentity(identity)
-    eligible = corpus.count - len(corpus.identity_index[identity])
-    if not distinct:
-        hits = simindex.search_batch(index, query, FILLER_COUNT, exclude=exclude)[0].hits
-        return tuple(h.image_id for h in hits)
-    # Distinct identities: widen k until five different labels appear in the
-    # ranked prefix, then keep the best-ranked image of each label.
-    k = FILLER_COUNT
-    while True:
-        hits = simindex.search_batch(index, query, k, exclude=exclude)[0].hits
-        chosen: list[ImageId] = []
-        seen: set[str] = set()
-        for h in hits:
-            if h.identity_id not in seen:
-                seen.add(h.identity_id)
-                chosen.append(h.image_id)
+def build_lineup(index: SearchIndex, corpus: CorpusHandle, source: ImageId, seed: int,
+                 distinct_filler_identities: bool = False) -> Lineup:
+    """Construct the lineup for one source image.
+
+    Fillers are the top five most similar images drawn from outside the
+    source's identity; with ``distinct_filler_identities`` each filler must
+    also come from a different identity.
+    """
+    lineup = _build_lineups(index, corpus, [source], seed, distinct_filler_identities)[0]
+    if isinstance(lineup, DataError):
+        raise lineup
+    return lineup
+
+
+def _build_lineups(index: SearchIndex, corpus: CorpusHandle, sources, seed: int,
+                   distinct: bool) -> list[Lineup | DataError]:
+    """One lineup per source, in order, with every filler search batched; a
+    DataError stands in for each source that cannot form a lineup."""
+    built: list = [None] * len(sources)
+    groups: dict[int, list[ImageId]] = {}
+    for pos, source in enumerate(sources):
+        try:
+            groups[pos] = _identity_group(corpus, source)
+        except DataError as exc:
+            built[pos] = exc
+    picked = _pick_fillers(index, [sources[pos] for pos in groups], distinct)
+    for (pos, same), fillers in zip(groups.items(), picked):
+        source = sources[pos]
+        if fillers is None:
+            built[pos] = DataError(f"source {source!r}: fewer than {FILLER_COUNT} distinct "
+                                   f"filler identities available")
+        else:
+            probe = draw_probe([i for i in same if i != source], seed, source)
+            built[pos] = Lineup(source=source, fillers=fillers, probe=probe, seed=seed)
+    return built
+
+
+def _pick_fillers(index: SearchIndex, sources, distinct: bool) -> list[tuple[ImageId, ...] | None]:
+    """Fillers for every source, from batched searches outside its identity.
+
+    With ``distinct`` each filler must come from its own identity: a source
+    whose ranked prefix holds fewer than five labels is searched again at
+    twice the k, alone with the other sources that still need it, until it
+    has five or k covers every eligible image (then its entry is None). Each
+    label contributes its best-ranked image, in ranked order.
+    """
+    own = simindex.ExcludeOwnIdentity()
+    corpus = index.corpus
+    picked: list[tuple[ImageId, ...] | None] = [None] * len(sources)
+    pending = {pos: FILLER_COUNT for pos in range(len(sources))}
+    while pending:
+        groups: dict[int, list[int]] = {}
+        for pos, k in pending.items():
+            groups.setdefault(k, []).append(pos)
+        for k, positions in groups.items():
+            queries = [(sources[p], index.query_vector(sources[p])) for p in positions]
+            for pos, result in zip(positions, simindex.search_batch(index, queries, k, exclude=own)):
+                chosen = _first_fillers(result.hits, distinct)
+                eligible = corpus.count - len(
+                    corpus.identity_index[corpus.identity_of(sources[pos])])
                 if len(chosen) == FILLER_COUNT:
-                    return tuple(chosen)
-        if k >= eligible:
-            raise DataError(
-                f"source {source!r}: fewer than {FILLER_COUNT} distinct filler identities available"
-            )
-        k = min(k * 2, eligible)
+                    picked[pos] = tuple(chosen)
+                    del pending[pos]
+                elif k >= eligible:
+                    del pending[pos]
+                else:
+                    pending[pos] = min(k * 2, eligible)
+    return picked
+
+
+def _first_fillers(hits, distinct: bool) -> list[ImageId]:
+    """Up to five filler ids from ranked hits, one per identity if ``distinct``."""
+    chosen: list[ImageId] = []
+    seen: set[str] = set()
+    for h in hits:
+        if not distinct or h.identity_id not in seen:
+            seen.add(h.identity_id)
+            chosen.append(h.image_id)
+            if len(chosen) == FILLER_COUNT:
+                break
+    return chosen
+
+
+def _rows(corpus: CorpusHandle, ids) -> np.ndarray:
+    for image_id in ids:
+        if image_id not in corpus:
+            raise DataError(f"embedding missing for image {image_id!r}")
+    return np.fromiter((corpus.row(i) for i in ids), dtype=np.intp, count=len(ids))
+
+
+def _probe_ranks(lineups, source_corpus: CorpusHandle, member_corpus: CorpusHandle) -> list[int]:
+    """Probe rank of each lineup: its members sorted by descending cosine
+    similarity to the source, ties to the smaller image id.
+
+    Sources come from ``source_corpus``, members from ``member_corpus``.
+    Lineups are scored in blocks of at most ``simindex.BLOCK_VALUES``
+    gathered member values. Raises naming any id whose embedding is absent.
+    """
+    step = max(1, simindex.BLOCK_VALUES // (LINEUP_SIZE * member_corpus.dim))
+    return [rank for start in range(0, len(lineups), step)
+            for rank in _rank_block(lineups[start:start + step], source_corpus, member_corpus)]
+
+
+def _rank_block(block, source_corpus: CorpusHandle, member_corpus: CorpusHandle) -> list[int]:
+    sources = [lu.source for lu in block]
+    members = [m for lu in block for m in lu.members]
+    src = simindex.l2_normalize(source_corpus.matrix[_rows(source_corpus, sources)], sources)
+    mem = simindex.l2_normalize(member_corpus.matrix[_rows(member_corpus, members)], members)
+    scores = simindex.score_kernel(src, mem.reshape(len(block), LINEUP_SIZE, -1))
+    fillers, probe = scores[:, :FILLER_COUNT], scores[:, FILLER_COUNT:]
+    # The probe is the last member; the fillers that sort before it set its rank.
+    smaller_id = np.array([[f < lu.probe for f in lu.fillers] for lu in block])
+    before = (fillers > probe) | ((fillers == probe) & smaller_id)
+    return before.sum(axis=1).tolist()
 
 
 def rank_probe(lineup: Lineup, embeddings: CorpusHandle) -> LineupResult:
     """Rank lineup members by similarity to the source and locate the probe."""
-    ranked = _rank_members(lineup.source, lineup.members, embeddings, embeddings)
-    probe_rank = ranked.index(lineup.probe)
+    probe_rank = _probe_ranks([lineup], embeddings, embeddings)[0]
     return LineupResult(lineup=lineup, probe_rank=probe_rank, success=probe_rank == 0)
-
-
-def _rank_members(source: ImageId, members, source_corpus: CorpusHandle,
-                  member_corpus: CorpusHandle) -> list[ImageId]:
-    """Member ids sorted by descending cosine similarity to the source.
-
-    Ties break toward the smaller image id. Raises naming any id whose
-    embedding is absent.
-    """
-    for image_id in (source, *members):
-        corpus = source_corpus if image_id == source else member_corpus
-        if image_id not in corpus:
-            raise DataError(f"embedding missing for image {image_id!r}")
-    src = simindex.l2_normalize(source_corpus.vector(source).astype(np.float64))
-    mat = simindex.l2_normalize(
-        np.vstack([member_corpus.vector(m).astype(np.float64) for m in members])
-    )
-    scores = simindex.score_kernel(src[None, :], mat)[0]
-    order = np.lexsort((np.asarray(members, dtype=object), -scores))
-    return [members[i] for i in order]
 
 
 def evaluate_corpus(corpus: CorpusHandle, index: SearchIndex, sources, seed: int,
@@ -203,21 +263,22 @@ def evaluate_corpus(corpus: CorpusHandle, index: SearchIndex, sources, seed: int
 
     Sources that cannot form a lineup (no probe candidate, too few fillers)
     are skipped and reported, not fatal. Results are ordered by source id.
+    ``index`` must be built over ``corpus``: one batched search picks every
+    source's fillers and the lineups are ranked in blocks.
     """
-    results: list[LineupResult] = []
-    skipped: list[tuple[ImageId, str]] = []
-    for source in sorted(sources):
-        try:
-            lineup = build_lineup(index, corpus, source, seed,
-                                  distinct_filler_identities=distinct_filler_identities)
-        except DataError as exc:
-            skipped.append((source, str(exc)))
-            continue
-        results.append(rank_probe(lineup, corpus))
-    if not results:
+    ordered = sorted(sources)
+    built = _build_lineups(index, corpus, ordered, seed, distinct_filler_identities)
+    lineups = [lu for lu in built if isinstance(lu, Lineup)]
+    if not lineups:
         raise NoEligibleSources("no source was eligible for a lineup")
+    results = tuple(
+        LineupResult(lineup=lu, probe_rank=rank, success=rank == 0)
+        for lu, rank in zip(lineups, _probe_ranks(lineups, corpus, corpus))
+    )
     accuracy = sum(r.success for r in results) / len(results)
-    return AccuracyReport(accuracy=accuracy, results=tuple(results), skipped=tuple(skipped))
+    skipped = tuple((source, str(lu)) for source, lu in zip(ordered, built)
+                    if isinstance(lu, DataError))
+    return AccuracyReport(accuracy=accuracy, results=results, skipped=skipped)
 
 
 def compare_variants(results_before, original: CorpusHandle,
@@ -229,19 +290,18 @@ def compare_variants(results_before, original: CorpusHandle,
     (sources are not restored). A lineup whose member is absent from
     ``restored`` is recorded as failed rather than raising.
     """
-    records: list[RankChangeRecord] = []
+    compared: list[LineupResult] = []
     failed: list[ImageId] = []
     for result in results_before:
-        lineup = result.lineup
-        if any(m not in restored for m in lineup.members):
-            failed.append(lineup.source)
-            continue
-        ranked = _rank_members(lineup.source, lineup.members, original, restored)
-        records.append(RankChangeRecord(
-            lineup_id=lineup.source,
-            rank_before=result.probe_rank,
-            rank_after=ranked.index(lineup.probe),
-        ))
+        if any(m not in restored for m in result.lineup.members):
+            failed.append(result.lineup.source)
+        else:
+            compared.append(result)
+    ranks = _probe_ranks([r.lineup for r in compared], original, restored)
+    records = [
+        RankChangeRecord(lineup_id=r.lineup.source, rank_before=r.probe_rank, rank_after=rank)
+        for r, rank in zip(compared, ranks)
+    ]
     return RankChangeReport(
         per_lineup=tuple(records),
         histogram=change_histogram(records),

@@ -366,27 +366,6 @@ def run_evaluate(config: PipelineConfig) -> AccuracyReport | None:
     return report
 
 
-def run_lineups(config: PipelineConfig):
-    """Build the lineup manifest only (no ranking)."""
-    embeddings_path = _require(config, "embeddings_original", "paths.embeddings_original")
-    handle = ingest_embeddings(embeddings_path)
-    index = simindex.build_index(handle)
-    lineups = []
-    skipped = []
-    for source in sorted(handle.ids):
-        try:
-            lineups.append(lineup_mod.build_lineup(
-                index, handle, source, config.lineup_seed,
-                distinct_filler_identities=config.distinct_fillers,
-            ))
-        except DataError as exc:
-            skipped.append((source, str(exc)))
-    Path(config.output).mkdir(parents=True, exist_ok=True)
-    with _OutputGuard() as guard:
-        write_lineup_manifest(lineups, guard.track(config.out(MANIFEST_FILE)))
-    return lineups, skipped
-
-
 # ---------------------------------------------------------------------------
 # Features
 
