@@ -147,10 +147,6 @@ class CorpusHandle:
         i = self.row(image_id)
         return EmbeddingRecord(self.ids[i], self.identities[i], self.matrix[i])
 
-    @property
-    def records(self) -> list[EmbeddingRecord]:
-        return [EmbeddingRecord(i, t, v) for i, t, v in zip(self.ids, self.identities, self.matrix)]
-
     def subset(self, keep_ids) -> "CorpusHandle":
         """New handle restricted to ``keep_ids``, preserving corpus order."""
         keep = set(keep_ids)
@@ -275,19 +271,28 @@ def _read_jsonl(path: Path):
 def write_container(path, magic: bytes, header_bytes: bytes, ids, identities,
                     matrix, dtype) -> Path:
     """Write a binary container: ``magic``, the packed header, then one
-    record per row of ``matrix``, its vector stored as ``dtype``."""
+    record per row of ``matrix``, its vector stored as ``dtype``.
+
+    Records stream straight to the file, so no second copy of the vectors
+    is held; a record that cannot be stored removes the partial file.
+    """
     path = Path(path)
-    parts = [magic, header_bytes]
-    for n, (image_id, identity, row) in enumerate(
-        zip(ids, identities, np.ascontiguousarray(matrix, dtype=dtype))
-    ):
-        id_b = image_id.encode("utf-8")
-        ident_b = identity.encode("utf-8")
-        if len(id_b) > 0xFFFF or len(ident_b) > 0xFFFF:
-            raise DataError(f"record {n} ({image_id[:40]!r}): id or identity longer "
-                            f"than 65535 UTF-8 bytes")
-        parts += (_U16.pack(len(id_b)), id_b, _U16.pack(len(ident_b)), ident_b, row.tobytes())
-    path.write_bytes(b"".join(parts))
+    try:
+        with open(path, "wb") as fh:
+            fh.write(magic + header_bytes)
+            for n, (image_id, identity, row) in enumerate(
+                zip(ids, identities, np.ascontiguousarray(matrix, dtype=dtype))
+            ):
+                id_b = image_id.encode("utf-8")
+                ident_b = identity.encode("utf-8")
+                if len(id_b) > 0xFFFF or len(ident_b) > 0xFFFF:
+                    raise DataError(f"record {n} ({image_id[:40]!r}): id or identity longer "
+                                    f"than 65535 UTF-8 bytes")
+                fh.write(_U16.pack(len(id_b)) + id_b + _U16.pack(len(ident_b)) + ident_b)
+                fh.write(row)
+    except BaseException:
+        path.unlink(missing_ok=True)
+        raise
     return path
 
 

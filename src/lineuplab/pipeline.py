@@ -18,8 +18,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
-import numpy as np
-
 from lineuplab import corpus as corpus_mod
 from lineuplab import lineup as lineup_mod
 from lineuplab import simindex
@@ -241,10 +239,11 @@ def _require(config: PipelineConfig, attr: str, dotted: str) -> Path:
 class _OutputGuard:
     """Commit-on-success artifact writes.
 
-    ``track`` hands out a sibling temp path to write instead of the final
-    name. A clean exit moves every temp file onto its final name with
-    ``os.replace``; an exception, Ctrl-C included, removes the temp files
-    and leaves the previous artifacts untouched.
+    ``track`` creates the artifact's directory and hands out a sibling temp
+    path to write instead of the final name. A clean exit moves every temp
+    file onto its final name with ``os.replace``; an exception, Ctrl-C
+    included, removes the temp files and leaves the previous artifacts
+    untouched.
     """
 
     def __init__(self):
@@ -252,6 +251,7 @@ class _OutputGuard:
 
     def track(self, path: Path) -> Path:
         path = Path(path)
+        path.parent.mkdir(parents=True, exist_ok=True)
         temp = path.with_name(path.name + ".tmp")
         self.pending[path] = temp
         return temp
@@ -332,7 +332,6 @@ def run_evaluate(config: PipelineConfig) -> AccuracyReport | None:
     embeddings_path = _require(config, "embeddings_original", "paths.embeddings_original")
     handle = ingest_embeddings(embeddings_path)
     index = simindex.build_index(handle)
-    Path(config.output).mkdir(parents=True, exist_ok=True)
     with _OutputGuard() as guard:
         manifest_path = guard.track(config.out(MANIFEST_FILE))
         results_path = guard.track(config.out(RESULTS_FILE))
@@ -416,7 +415,6 @@ def run_features(config: PipelineConfig) -> Path:
         items = [(image_id, image_id) for image_id in sorted(handle.ids)]
     vectors = extract_features(config, handle, landmarks, items)
     full_labels = {fv.image_id: labels.get(fv.image_id, 0) for fv in vectors}
-    Path(config.output).mkdir(parents=True, exist_ok=True)
     path = config.out(FEATURES_FILE)
     with _OutputGuard() as guard:
         write_feature_csv(vectors, full_labels, guard.track(path))
@@ -468,7 +466,6 @@ def run_predict(config: PipelineConfig):
     ids, _, matrix = read_feature_csv(features_path)
     proba = model.predict_proba(matrix)
     predicted = proba >= model.threshold
-    Path(config.output).mkdir(parents=True, exist_ok=True)
     with _OutputGuard() as guard:
         with open(guard.track(config.out(PREDICTIONS_FILE)), "w", encoding="utf-8",
                   newline="") as fh:
@@ -484,9 +481,7 @@ def run_predict(config: PipelineConfig):
 
 
 def run_hook(config: PipelineConfig, member_ids) -> dict[ImageId, HookRecord]:
-    """Invoke the restoration hook once per unique member image."""
-    if not config.hook_command:
-        return {}
+    """Invoke the configured restoration hook once per unique member image."""
     images_dir = _require(config, "images", "paths.images")
     hook = RestorationHook(config.hook_command, config.hook_timeout)
     restored_dir = config.out("restored_images")
@@ -498,15 +493,6 @@ def run_hook(config: PipelineConfig, member_ids) -> dict[ImageId, HookRecord]:
             corpus_mod.image_path(images_dir, image_id),
             corpus_mod.image_path(restored_dir, image_id),
         )
-    with _OutputGuard() as guard:
-        _write_json(guard.track(config.out(HOOK_STATUS_FILE)), {
-            "records": [
-                {"image_id": r.image_id, "ok": r.ok, "detail": r.detail}
-                for r in records.values()
-            ],
-            "failed": sum(not r.ok for r in records.values()),
-            "total": len(records),
-        })
     return records
 
 
@@ -515,49 +501,26 @@ class ComparisonBundle:
     report: RankChangeReport                 # all compared lineups
     table_true_positive: OutcomeTable        # before-failures (rank > 0)
     table_false_positive: OutcomeTable       # before-successes (rank 0)
-    results_before: tuple[LineupResult, ...]
 
 
-def compare_with_restored(results_before, original, restored,
-                          hook_failed=()) -> ComparisonBundle:
+def compare_with_restored(results, original, restored) -> ComparisonBundle:
     """Fixed-membership re-ranking plus the Tables 1-3 style accounting.
 
-    ``hook_failed`` lists lineup sources whose restoration command failed;
-    they are excluded from re-ranking and counted as failed restorations.
-    The source embedding is always taken from the original corpus.
+    A lineup with a member absent from ``restored`` is a failed
+    restoration. The source embedding is always taken from the original
+    corpus. Each table covers one sign of the before-rank.
     """
-    hook_failed = set(hook_failed)
-    compared_input = [r for r in results_before if r.lineup.source not in hook_failed]
-    report = compare_variants(compared_input, original, restored)
-    failed_all = tuple(sorted(set(report.failed) | hook_failed))
-    records = report.per_lineup
-    full = RankChangeReport(
-        per_lineup=records,
-        histogram=change_histogram(records),
-        failed=failed_all,
-    )
-    before_rank = {r.lineup.source: r.probe_rank for r in results_before}
-    missing = [s for s in failed_all if s not in before_rank]
-    if missing:
-        raise DataError(f"failed lineup {missing[0]!r} has no before-result")
+    report = compare_variants(results, original, restored)
+    report = replace(report, failed=tuple(sorted(report.failed)))
+    before_rank = {r.lineup.source: r.probe_rank for r in results}
 
-    def split(positive: bool) -> tuple[RankChangeReport, list]:
-        recs = tuple(r for r in records if (r.rank_before > 0) == positive)
-        failed = tuple(s for s in failed_all if (before_rank[s] > 0) == positive)
-        rep = RankChangeReport(recs, change_histogram(recs), failed)
-        kept = {x.lineup_id for x in recs}.union(failed)
-        before = [r for r in results_before
-                  if (r.probe_rank > 0) == positive and r.lineup.source in kept]
-        return rep, before
+    def table(positive: bool) -> OutcomeTable:
+        recs = tuple(r for r in report.per_lineup if (r.rank_before > 0) == positive)
+        failed = tuple(s for s in report.failed if (before_rank[s] > 0) == positive)
+        before = [r for r in results if (r.probe_rank > 0) == positive]
+        return summarize_outcomes(RankChangeReport(recs, change_histogram(recs), failed), before)
 
-    tp_report, tp_before = split(True)
-    fp_report, fp_before = split(False)
-    return ComparisonBundle(
-        report=full,
-        table_true_positive=summarize_outcomes(tp_report, tp_before),
-        table_false_positive=summarize_outcomes(fp_report, fp_before),
-        results_before=tuple(compared_input),
-    )
+    return ComparisonBundle(report, table(True), table(False))
 
 
 OUTCOME_ROWS = (
@@ -580,17 +543,14 @@ def write_outcome_csv(table: OutcomeTable, path) -> Path:
     return path
 
 
-def emit_reports(config: PipelineConfig, bundle: ComparisonBundle) -> list[Path]:
-    """Rank-change CSV, the two outcome tables, and the full JSON detail."""
-    Path(config.output).mkdir(parents=True, exist_ok=True)
-    names = (RANK_CHANGES_FILE, OUTCOMES_TP_FILE, OUTCOMES_FP_FILE, COMPARISON_FILE)
-    paths = [config.out(name) for name in names]
-    with _OutputGuard() as guard:
-        rank_changes, tp, fp, detail = (guard.track(path) for path in paths)
-        write_rank_change_csv(bundle.report, rank_changes)
-        write_outcome_csv(bundle.table_true_positive, tp)
-        write_outcome_csv(bundle.table_false_positive, fp)
-        _write_json(detail, comparison_payload(bundle))
+def _write_report_csvs(config: PipelineConfig, guard: _OutputGuard,
+                       bundle: ComparisonBundle) -> list[Path]:
+    """Rank-change CSV and the two outcome tables, tracked by ``guard``."""
+    paths = [config.out(name) for name in (RANK_CHANGES_FILE, OUTCOMES_TP_FILE, OUTCOMES_FP_FILE)]
+    rank_changes, tp, fp = (guard.track(path) for path in paths)
+    write_rank_change_csv(bundle.report, rank_changes)
+    write_outcome_csv(bundle.table_true_positive, tp)
+    write_outcome_csv(bundle.table_false_positive, fp)
     return paths
 
 
@@ -614,65 +574,90 @@ def comparison_payload(bundle: ComparisonBundle) -> dict:
     }
 
 
-def run_compare(config: PipelineConfig, hook_failed=()) -> ComparisonBundle:
-    """Compare stored before-results against restored embeddings."""
-    original_path = _require(config, "embeddings_original", "paths.embeddings_original")
-    restored_path = _require(config, "embeddings_restored", "paths.embeddings_restored")
+def _stored_lineups(config: PipelineConfig) -> tuple[list[Lineup], list[LineupResult]]:
+    """The lineup manifest and before-results written by ``evaluate``."""
     manifest_path = config.out(MANIFEST_FILE)
     results_path = config.out(RESULTS_FILE)
     if not manifest_path.is_file() or not results_path.is_file():
         raise ConfigError("lineup manifest/results not found (run 'evaluate' first)")
-    lineups = {lu.source: lu for lu in read_lineup_manifest(manifest_path)}
-    results = read_results_csv(results_path, lineups)
-    original = ingest_embeddings(original_path)
-    restored = ingest_embeddings(restored_path)
-    bundle = compare_with_restored(results, original, restored, hook_failed=hook_failed)
-    emit_reports(config, bundle)
+    lineups = read_lineup_manifest(manifest_path)
+    return lineups, read_results_csv(results_path, {lu.source: lu for lu in lineups})
+
+
+def _rerank(config: PipelineConfig, results, hook: bool = False) -> ComparisonBundle:
+    """Re-rank ``results`` against the restored corpus and commit the report
+    set. With ``hook`` and a configured hook command, the hook first runs
+    over every member image; an image whose run failed is left out of the
+    restored corpus, and the hook status is committed with the reports."""
+    original = ingest_embeddings(
+        _require(config, "embeddings_original", "paths.embeddings_original"))
+    restored = ingest_embeddings(
+        _require(config, "embeddings_restored", "paths.embeddings_restored"))
+    records = None
+    if hook and config.hook_command:
+        records = run_hook(config, [m for r in results for m in r.lineup.members])
+        failed = {image_id for image_id, record in records.items() if not record.ok}
+        if failed:
+            restored = restored.subset([i for i in restored.ids if i not in failed])
+    bundle = compare_with_restored(results, original, restored)
+    with _OutputGuard() as guard:
+        _write_report_csvs(config, guard, bundle)
+        _write_json(guard.track(config.out(COMPARISON_FILE)), comparison_payload(bundle))
+        if records is not None:
+            _write_json(guard.track(config.out(HOOK_STATUS_FILE)), {
+                "records": [
+                    {"image_id": r.image_id, "ok": r.ok, "detail": r.detail}
+                    for r in records.values()
+                ],
+                "failed": len(failed),
+                "total": len(records),
+            })
+    if records and len(failed) / len(records) > config.hook_failure_threshold:
+        raise HookError(
+            f"hook failed for {len(failed)}/{len(records)} images "
+            f"({len(failed) / len(records):.0%} > threshold "
+            f"{config.hook_failure_threshold:.0%})"
+        )
     return bundle
+
+
+def run_compare(config: PipelineConfig) -> ComparisonBundle:
+    """Re-rank every stored lineup against the restored embeddings."""
+    return _rerank(config, _stored_lineups(config)[1])
+
+
+def _check_features(config: PipelineConfig, lineups, results) -> None:
+    """A reused feature CSV must hold the rows ``run_features`` would write
+    now: one per lineup source in manifest order, labelled 1 for a failed
+    lineup."""
+    path = config.out(FEATURES_FILE)
+    ids, labels, _ = read_feature_csv(path)
+    failed = {r.lineup.source for r in results if not r.success}
+    if (ids != [lu.source for lu in lineups]
+            or labels.tolist() != [int(lu.source in failed) for lu in lineups]):
+        raise DataError(f"{path} does not match the stored lineups and results "
+                        f"(rerun 'features')")
 
 
 def run_predict_and_restore(config: PipelineConfig) -> ComparisonBundle:
     """Classify every lineup source; restore and re-rank predicted failures.
 
     The flow: evaluate (if results are missing), extract features (if
-    missing), predict, run the hook over predicted-failure lineup members
-    (sources are never restored), then re-rank those lineups against the
-    externally re-embedded restored corpus and emit the report set.
+    missing), predict, then run the hook over the predicted-failure lineups'
+    members (sources are never restored) and re-rank those lineups against
+    the externally re-embedded restored corpus, as ``compare`` does.
     """
-    original_path = _require(config, "embeddings_original", "paths.embeddings_original")
-    restored_path = _require(config, "embeddings_restored", "paths.embeddings_restored")
-    manifest_path = config.out(MANIFEST_FILE)
-    results_path = config.out(RESULTS_FILE)
-    if not manifest_path.is_file() or not results_path.is_file():
+    # before evaluate, features or predict commit anything
+    _require(config, "embeddings_restored", "paths.embeddings_restored")
+    if not config.out(MANIFEST_FILE).is_file() or not config.out(RESULTS_FILE).is_file():
         run_evaluate(config)
-    if not config.out(FEATURES_FILE).is_file():
+    lineups, results = _stored_lineups(config)
+    if config.out(FEATURES_FILE).is_file():
+        _check_features(config, lineups, results)
+    else:
         run_features(config)
-    predictions = run_predict(config)
-    flagged = {sid for sid, _, is_failure in predictions if is_failure}
-    lineups = {lu.source: lu for lu in read_lineup_manifest(manifest_path)}
-    results = read_results_csv(results_path, lineups)
-    selected = [r for r in results if r.lineup.source in flagged]
-    hook_failed: set[ImageId] = set()
-    hook_records: dict[ImageId, HookRecord] = {}
-    if config.hook_command:
-        members = [m for r in selected for m in r.lineup.members]
-        hook_records = run_hook(config, members)
-        for result in selected:
-            if any(not hook_records[m].ok for m in result.lineup.members):
-                hook_failed.add(result.lineup.source)
-    original = ingest_embeddings(original_path)
-    restored = ingest_embeddings(restored_path)
-    bundle = compare_with_restored(selected, original, restored, hook_failed=hook_failed)
-    emit_reports(config, bundle)
-    if hook_records:
-        failures = sum(not r.ok for r in hook_records.values())
-        fraction = failures / len(hook_records)
-        if fraction > config.hook_failure_threshold:
-            raise HookError(
-                f"hook failed for {failures}/{len(hook_records)} images "
-                f"({fraction:.0%} > threshold {config.hook_failure_threshold:.0%})"
-            )
-    return bundle
+    flagged = {sid for sid, _, is_failure in run_predict(config) if is_failure}
+    return _rerank(config, [r for r in results if r.lineup.source in flagged], hook=True)
 
 
 # ---------------------------------------------------------------------------
@@ -686,7 +671,6 @@ def run_curate(config: PipelineConfig):
     handle = ingest_embeddings(embeddings_path)
     landmarks = ingest_landmarks(landmarks_path)
     report = corpus_mod.curate(handle, landmarks, images_dir, config.curation_rules())
-    Path(config.output).mkdir(parents=True, exist_ok=True)
     with _OutputGuard() as guard:
         corpus_mod.write_embeddings(report.retained, guard.track(config.out(CURATED_FILE)))
         _write_json(guard.track(config.out(CURATION_REPORT_FILE)), {
@@ -702,7 +686,6 @@ def run_ingest(config: PipelineConfig, fmt: str = "binary") -> Path:
     """Validate a corpus and persist it in the requested container format."""
     embeddings_path = _require(config, "embeddings_original", "paths.embeddings_original")
     handle = ingest_embeddings(embeddings_path)
-    Path(config.output).mkdir(parents=True, exist_ok=True)
     path = config.out("embeddings.bin" if fmt == "binary" else "embeddings.jsonl")
     with _OutputGuard() as guard:
         corpus_mod.write_embeddings(handle, guard.track(path), fmt=fmt)
@@ -713,7 +696,6 @@ def run_index(config: PipelineConfig) -> Path:
     embeddings_path = _require(config, "embeddings_original", "paths.embeddings_original")
     handle = ingest_embeddings(embeddings_path)
     index = simindex.build_index(handle)
-    Path(config.output).mkdir(parents=True, exist_ok=True)
     path = config.out(INDEX_FILE)
     with _OutputGuard() as guard:
         simindex.save_index(index, guard.track(path))
@@ -730,19 +712,17 @@ def run_report(config: PipelineConfig) -> list[Path]:
             payload = json.load(fh)
     except json.JSONDecodeError as exc:
         raise DataError(f"{comparison_path}: malformed JSON ({exc.msg})") from None
-
-    paths = [config.out(name) for name in (RANK_CHANGES_FILE, OUTCOMES_TP_FILE, OUTCOMES_FP_FILE)]
     try:
         records = tuple(
             lineup_mod.RankChangeRecord(o["source"], o["rank_before"], o["rank_after"])
             for o in payload["per_lineup"]
         )
-        report = RankChangeReport(records, change_histogram(records), tuple(payload["failed"]))
+        bundle = ComparisonBundle(
+            RankChangeReport(records, change_histogram(records), tuple(payload["failed"])),
+            OutcomeTable(**payload["true_positive_table"]),
+            OutcomeTable(**payload["false_positive_table"]),
+        )
         with _OutputGuard() as guard:
-            rank_changes, tp, fp = (guard.track(path) for path in paths)
-            write_rank_change_csv(report, rank_changes)
-            write_outcome_csv(OutcomeTable(**payload["true_positive_table"]), tp)
-            write_outcome_csv(OutcomeTable(**payload["false_positive_table"]), fp)
+            return _write_report_csvs(config, guard, bundle)
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{comparison_path}: incomplete comparison detail ({exc!r})") from None
-    return paths

@@ -160,6 +160,14 @@ def test_every_truncated_container_is_a_data_error(tmp_path, rng):
                 load(cut)
 
 
+def test_container_write_of_an_overlong_id_leaves_no_file(tmp_path):
+    handle = corpus._make_handle(["a", "x" * 65_536], ["p", "p"],
+                                 np.eye(2, dtype=np.float32), "mem")
+    with pytest.raises(DataError, match="65535"):
+        write_embeddings(handle, tmp_path / "c.bin")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_subset_preserves_order(tmp_path, rng):
     handle = make_corpus(tmp_path, rng, n_identities=3, per_identity=2, dim=4)
     sub = handle.subset(["p0002_i1", "p0000_i0"])

@@ -11,6 +11,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import oracles
 from lineuplab import cli, pipeline
 from lineuplab.corpus import (
     ImageGray,
@@ -593,6 +594,83 @@ def test_failing_hook_counts_failed_restorations(chain):
     assert f"Failed Restoration,{tp_failed},100.0" in text
 
 
+def _restore_args(chain, out: Path) -> list[str]:
+    """CLI arguments for a restore into ``out``, seeded with the chain's
+    lineups, results, features and model."""
+    out.mkdir()
+    for name in (MANIFEST_FILE, RESULTS_FILE, FEATURES_FILE, MODEL_FILE):
+        shutil.copy(chain.out / name, out / name)
+    return ["restore", "--config", str(chain.ws.config), "--paths.output", str(out)]
+
+
+def test_partial_hook_failure_fails_exactly_the_lineups_holding_that_image(chain, tmp_path):
+    out = tmp_path / "out"
+    args = _restore_args(chain, out)
+    lineups = {lu.source: lu for lu in read_lineup_manifest(out / MANIFEST_FILE)}
+    flagged = sorted(i for i, _, pid in _image_ids() if pid >= CLUSTERED)
+    bad = lineups[flagged[0]].fillers[0]
+    hook = tmp_path / "one_fails.sh"
+    hook.write_text(f'#!/bin/sh\ncase "$1" in */{bad}.pgm) exit 1;; esac\ncp "$1" "$2"\n')
+    assert cli.main([*args, "--hook.command", f"sh {hook} {{input}} {{output}}"]) == 0
+
+    status = json.loads((out / HOOK_STATUS_FILE).read_text())
+    assert [r["image_id"] for r in status["records"] if not r["ok"]] == [bad]
+    payload = json.loads((out / COMPARISON_FILE).read_text())
+    holding = [s for s in flagged if bad in lineups[s].members]
+    assert 0 < len(holding) < len(flagged)
+    assert payload["failed"] == holding
+    original = ingest_embeddings(chain.ws.original)
+    restored = ingest_embeddings(chain.ws.restored)
+    per_lineup = {r["source"]: r["rank_after"] for r in payload["per_lineup"]}
+    assert sorted(per_lineup) == [s for s in flagged if s not in holding]
+    for source, rank_after in per_lineup.items():
+        lu = lineups[source]
+        members = {m: restored.vector(m) for m in lu.members}
+        assert rank_after == oracles.rescore_lineup(original.vector(source), members, lu.probe)
+
+
+def test_failed_restore_keeps_previous_hook_status(chain, tmp_path):
+    out = tmp_path / "out"
+    args = _restore_args(chain, out)
+    previous = b'{"previous": true}\n'
+    (out / HOOK_STATUS_FILE).write_bytes(previous)
+    malformed = tmp_path / "restored.jsonl"
+    malformed.write_text('{"image_id": "a"}\n')
+    code = cli.main([*args, "--hook.command", f"sh {chain.ws.ok_hook} {{input}} {{output}}",
+                     "--paths.embeddings_restored", str(malformed)])
+    assert code == 2
+    assert (out / HOOK_STATUS_FILE).read_bytes() == previous
+    assert not (out / COMPARISON_FILE).exists()
+
+
+@pytest.mark.parametrize("stale", ["ids", "labels"])
+def test_restore_rejects_stale_features(chain, tmp_path, capsys, stale):
+    out = tmp_path / "out"
+    args = _restore_args(chain, out)
+    if stale == "ids":
+        # lineups of the clustered identities only; features.csv still
+        # holds a row for every source of the full corpus
+        subset = tmp_path / "subset.jsonl"
+        subset.write_text("".join(
+            line for line in chain.ws.original.read_text().splitlines(keepends=True)
+            if int(json.loads(line)["identity_id"][1:]) < CLUSTERED
+        ))
+        assert cli.main(["evaluate", "--config", str(chain.ws.config),
+                         "--paths.output", str(out),
+                         "--paths.embeddings_original", str(subset)]) == 0
+    else:
+        ids, labels, matrix = read_feature_csv(out / FEATURES_FILE)
+        labels[0] = 1 - labels[0]
+        write_feature_csv([FeatureVector(i, row) for i, row in zip(ids, matrix)],
+                          dict(zip(ids, labels)), out / FEATURES_FILE)
+    capsys.readouterr()
+    assert cli.main([*args, "--hook.command",
+                     f"sh {chain.ws.ok_hook} {{input}} {{output}}"]) == 2
+    err = capsys.readouterr().err
+    assert FEATURES_FILE in err and "rerun 'features'" in err
+    assert not (out / COMPARISON_FILE).exists()
+
+
 def test_no_eligible_sources_writes_empty_report(tmp_path, capsys):
     # two identities cannot provide five fillers outside the source identity
     corpus = tmp_path / "tiny.jsonl"
@@ -669,6 +747,17 @@ def test_cli_config_error_exits_1(capsys):
     assert "error:" in capsys.readouterr().err
     assert cli.main(["evaluate", "--lineup.seed", "abc"]) == 1
     assert "lineup.seed" in capsys.readouterr().err
+
+
+def test_cli_train_creates_the_model_directory(chain, tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    shutil.copy(chain.out / FEATURES_FILE, out / FEATURES_FILE)
+    model_path = tmp_path / "models" / "new" / MODEL_FILE
+    code = cli.main(["train", "--config", str(chain.ws.config), "--paths.output", str(out),
+                     "--paths.model", str(model_path)])
+    assert code == 0
+    assert load_model(model_path).threshold == load_model(chain.out / MODEL_FILE).threshold
 
 
 def test_cli_data_error_exits_2(tmp_path, capsys):
