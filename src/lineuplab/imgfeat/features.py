@@ -1,17 +1,22 @@
 """Pixel-statistics features and feature-vector assembly.
 
-All computations run in float64 on the raw 0..255 intensities. Standard
-deviations are population (ddof 0) throughout; histograms use 256 bins and
-natural-log entropy with 0*ln(0) taken as 0; percentiles interpolate
-linearly between order statistics. Kernel operations replicate edges and
-produce a value at every pixel. The FFT is the unnormalized forward
-transform with a centered spectrum.
+Each image's shared intermediates (``ImagePlanes``) are built once and
+passed to the five category functions. The Sobel, Laplacian, box and
+median kernels run in exact integer arithmetic on the 8-bit pixels, and
+everything else in float64 on the raw 0..255 intensities; every value
+equals the all-float64 computation bit for bit. Standard deviations are
+population (ddof 0) throughout; histograms use 256 bins and natural-log
+entropy with 0*ln(0) taken as 0; percentiles interpolate linearly between
+order statistics. Kernel operations replicate edges and produce a value at
+every pixel. The FFT is the unnormalized forward transform with a centered
+spectrum.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -57,13 +62,40 @@ class FeatureVector:
     values: np.ndarray  # embedding followed by the 42 classical features
 
 
-def _field(img: ImageGray) -> np.ndarray:
-    return img.pixels.astype(np.float64)
+@dataclass(frozen=True)
+class ImagePlanes:
+    """One image's intermediates, built once and shared by the categories.
+
+    ``width`` is the image width, as on ``ImageGray``. The gradient planes
+    are float64 holding the exact integer Sobel responses of the pixels.
+    """
+
+    width: int
+    pixels: np.ndarray      # (h, w) uint8
+    field: np.ndarray       # the pixels as float64
+    hist: np.ndarray        # 256-bin histogram, normalized
+    gx: np.ndarray
+    gy: np.ndarray
+    magnitude: np.ndarray   # np.hypot(gx, gy)
+    laplacian_var: float
 
 
-def _histogram(pixels: np.ndarray) -> np.ndarray:
-    counts = np.bincount(pixels.ravel(), minlength=256).astype(np.float64)
-    return counts / pixels.size
+def image_planes(img: ImageGray | ImagePlanes) -> ImagePlanes:
+    """The planes of ``img``; planes pass through unchanged."""
+    if isinstance(img, ImagePlanes):
+        return img
+    pixels = img.pixels
+    gx, gy = filters.sobel_gradients(pixels)
+    return ImagePlanes(
+        width=img.width,
+        pixels=pixels,
+        field=pixels.astype(np.float64),
+        hist=np.bincount(pixels.ravel(), minlength=256) / pixels.size,
+        gx=gx,
+        gy=gy,
+        magnitude=np.hypot(gx, gy),
+        laplacian_var=filters.laplacian_variance(pixels),
+    )
 
 
 def _entropy(hist: np.ndarray) -> float:
@@ -71,24 +103,23 @@ def _entropy(hist: np.ndarray) -> float:
     return float(-np.sum(nz * np.log(nz)))
 
 
-def lighting_features(img: ImageGray) -> np.ndarray:
-    field = _field(img)
-    hist = _histogram(img.pixels)
+def lighting_features(img: ImageGray | ImagePlanes) -> np.ndarray:
+    planes = image_planes(img)
+    field = planes.field
     return np.array([
         field.mean(),
         field.std(),
-        _entropy(hist),
-        np.count_nonzero(img.pixels < DARK_THRESHOLD) / field.size,
-        np.count_nonzero(img.pixels > BRIGHT_THRESHOLD) / field.size,
-        filters.laplacian_variance(field),
+        _entropy(planes.hist),
+        np.count_nonzero(planes.pixels < DARK_THRESHOLD) / field.size,
+        np.count_nonzero(planes.pixels > BRIGHT_THRESHOLD) / field.size,
+        planes.laplacian_var,
     ])
 
 
-def quality_features(img: ImageGray) -> np.ndarray:
-    field = _field(img)
-    gx, gy = filters.sobel_gradients(field)
-    combined = np.abs(gx) + np.abs(gy)
-    hist = _histogram(img.pixels)
+def quality_features(img: ImageGray | ImagePlanes) -> np.ndarray:
+    planes = image_planes(img)
+    field, hist = planes.field, planes.hist
+    combined = np.abs(planes.gx) + np.abs(planes.gy)
     mu = field.mean()
     levels = np.arange(256, dtype=np.float64)
     global_contrast = float(np.sqrt(np.sum((levels - mu) ** 2 * hist)))
@@ -107,8 +138,9 @@ def quality_features(img: ImageGray) -> np.ndarray:
     ])
 
 
-def noise_features(img: ImageGray) -> np.ndarray:
-    field = _field(img)
+def noise_features(img: ImageGray | ImagePlanes) -> np.ndarray:
+    planes = image_planes(img)
+    field = planes.field
     diag = field[:-1, :-1] - field[1:, 1:]
     sigma = float(diag.std())
     mean_sq = float(np.mean(field**2))
@@ -119,7 +151,7 @@ def noise_features(img: ImageGray) -> np.ndarray:
     else:
         snr = float(np.clip(10.0 * np.log10(mean_sq / sigma**2), -CLIP_LIMIT, CLIP_LIMIT))
     nsr = sigma**2 / mean_sq if mean_sq > 0.0 else 0.0
-    residual = field - filters.median3(field)
+    residual = field - filters.median3(planes.pixels)
     return np.array([
         sigma,
         snr,
@@ -129,46 +161,53 @@ def noise_features(img: ImageGray) -> np.ndarray:
     ])
 
 
-def sharpness_features(img: ImageGray) -> np.ndarray:
-    field = _field(img)
-    gx, gy = filters.sobel_gradients(field)
-    magnitude = np.hypot(gx, gy)
-    lap_var = filters.laplacian_variance(field)
-    spectrum = np.abs(np.fft.fftshift(np.fft.fft2(field)))
-    h, w = field.shape
+@lru_cache(maxsize=8)
+def _high_frequencies(h: int, w: int) -> np.ndarray:
+    """Read-only mask of the centered spectrum's bins at least a quarter of
+    the shorter side from the zero frequency; images share a few shapes."""
     rows = np.arange(h, dtype=np.float64)[:, None] - h // 2
     cols = np.arange(w, dtype=np.float64)[None, :] - w // 2
     high = np.hypot(rows, cols) >= min(h, w) / 4.0
+    high.flags.writeable = False
+    return high
+
+
+def sharpness_features(img: ImageGray | ImagePlanes) -> np.ndarray:
+    planes = image_planes(img)
+    field, magnitude = planes.field, planes.magnitude
+    spectrum = np.abs(np.fft.fftshift(np.fft.fft2(field)))
     return np.array([
         magnitude.mean(),
         magnitude.std(),
-        lap_var,
-        spectrum[high].mean(),
+        planes.laplacian_var,
+        spectrum[_high_frequencies(*field.shape)].mean(),
         np.log1p(spectrum).mean(),
-        lap_var,
+        planes.laplacian_var,
     ])
 
 
-def texture_features(img: ImageGray) -> np.ndarray:
-    field = _field(img)
-    mean = filters.box_mean3(field)
-    mean_sq = filters.box_mean3(field**2)
+def texture_features(img: ImageGray | ImagePlanes) -> np.ndarray:
+    planes = image_planes(img)
+    pixels = planes.pixels
+    mean = filters.box_mean3(pixels)
+    mean_sq = filters.box_mean3(np.square(pixels, dtype=np.uint16))
     local_var = mean_sq - mean**2
-    edges = filters.canny_edges(field)
+    edges = filters.canny_edges(pixels, gradients=(planes.gx, planes.gy, planes.magnitude))
     return np.array([
         local_var.mean(),
-        np.count_nonzero(edges) / field.size,
+        np.count_nonzero(edges) / pixels.size,
     ])
 
 
 def classical_features(img: ImageGray, landmarks: LandmarkSet | None) -> np.ndarray:
     """The 42 classical features in the fixed category order."""
+    planes = image_planes(img)
     return np.concatenate([
-        lighting_features(img),
-        quality_features(img),
-        noise_features(img),
-        sharpness_features(img),
-        texture_features(img),
+        lighting_features(planes),
+        quality_features(planes),
+        noise_features(planes),
+        sharpness_features(planes),
+        texture_features(planes),
         geometry_features(landmarks, (img.width, img.height)),
     ])
 
@@ -228,7 +267,8 @@ def write_feature_csv(vectors, labels, path) -> Path:
 
 
 def read_feature_csv(path):
-    """Returns (image_ids, labels, matrix) with float64 features."""
+    """Returns (image_ids, labels, matrix) with 0/1 int64 labels and float64
+    features."""
     path = Path(path)
     if not path.is_file():
         raise DataError(f"feature file not found: {path}")
@@ -244,9 +284,11 @@ def read_feature_csv(path):
         for lineno, row in enumerate(reader, start=2):
             if len(row) != len(header):
                 raise DataError(f"{path}:{lineno}: expected {len(header)} columns, got {len(row)}")
+            if row[1] not in ("0", "1"):
+                raise DataError(f"{path}:{lineno}: label must be 0 or 1, got {row[1]!r}")
             ids.append(row[0])
+            labels.append(row[1] == "1")
             try:
-                labels.append(int(row[1]))
                 rows.append([float(x) for x in row[2:]])
             except ValueError:
                 raise DataError(f"{path}:{lineno}: non-numeric value") from None

@@ -457,13 +457,17 @@ def _load_model_with_override(config: PipelineConfig):
     return model
 
 
-def run_predict(config: PipelineConfig):
-    """Per-lineup failure probabilities and decisions from stored features."""
+def run_predict(config: PipelineConfig, features=None):
+    """Per-lineup failure probabilities and decisions from stored features.
+
+    ``features`` is the stored file's ``read_feature_csv`` result when the
+    caller has parsed it already.
+    """
     features_path = config.out(FEATURES_FILE)
-    if not features_path.is_file():
+    if features is None and not features_path.is_file():
         raise ConfigError(f"feature file not found: {features_path} (run 'features' first)")
     model = _load_model_with_override(config)
-    ids, _, matrix = read_feature_csv(features_path)
+    ids, _, matrix = read_feature_csv(features_path) if features is None else features
     proba = model.predict_proba(matrix)
     predicted = proba >= model.threshold
     with _OutputGuard() as guard:
@@ -626,17 +630,19 @@ def run_compare(config: PipelineConfig) -> ComparisonBundle:
     return _rerank(config, _stored_lineups(config)[1])
 
 
-def _check_features(config: PipelineConfig, lineups, results) -> None:
-    """A reused feature CSV must hold the rows ``run_features`` would write
-    now: one per lineup source in manifest order, labelled 1 for a failed
-    lineup."""
+def _read_checked_features(config: PipelineConfig, lineups, results):
+    """``read_feature_csv`` of a reused feature CSV, which must hold the rows
+    ``run_features`` would write now: one per lineup source in manifest
+    order, labelled 1 for a failed lineup."""
     path = config.out(FEATURES_FILE)
-    ids, labels, _ = read_feature_csv(path)
+    features = read_feature_csv(path)
+    ids, labels, _ = features
     failed = {r.lineup.source for r in results if not r.success}
     if (ids != [lu.source for lu in lineups]
             or labels.tolist() != [int(lu.source in failed) for lu in lineups]):
         raise DataError(f"{path} does not match the stored lineups and results "
                         f"(rerun 'features')")
+    return features
 
 
 def run_predict_and_restore(config: PipelineConfig) -> ComparisonBundle:
@@ -652,11 +658,12 @@ def run_predict_and_restore(config: PipelineConfig) -> ComparisonBundle:
     if not config.out(MANIFEST_FILE).is_file() or not config.out(RESULTS_FILE).is_file():
         run_evaluate(config)
     lineups, results = _stored_lineups(config)
+    features = None
     if config.out(FEATURES_FILE).is_file():
-        _check_features(config, lineups, results)
+        features = _read_checked_features(config, lineups, results)
     else:
         run_features(config)
-    flagged = {sid for sid, _, is_failure in run_predict(config) if is_failure}
+    flagged = {sid for sid, _, is_failure in run_predict(config, features) if is_failure}
     return _rerank(config, [r for r in results if r.lineup.source in flagged], hook=True)
 
 

@@ -643,6 +643,23 @@ def test_failed_restore_keeps_previous_hook_status(chain, tmp_path):
     assert not (out / COMPARISON_FILE).exists()
 
 
+def test_restore_parses_reused_features_once(chain, tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    args = _restore_args(chain, out)
+    parsed = []
+
+    def counting_read(path):
+        parsed.append(Path(path).name)
+        return read_feature_csv(path)
+
+    monkeypatch.setattr(pipeline, "read_feature_csv", counting_read)
+    assert cli.main([*args, "--hook.command",
+                     f"sh {chain.ws.ok_hook} {{input}} {{output}}"]) == 0
+    assert parsed == [FEATURES_FILE]
+    # the same model on the same rows: predict's file, byte for byte
+    assert (out / PREDICTIONS_FILE).read_bytes() == (chain.out / PREDICTIONS_FILE).read_bytes()
+
+
 @pytest.mark.parametrize("stale", ["ids", "labels"])
 def test_restore_rejects_stale_features(chain, tmp_path, capsys, stale):
     out = tmp_path / "out"
@@ -758,6 +775,20 @@ def test_cli_train_creates_the_model_directory(chain, tmp_path):
                      "--paths.model", str(model_path)])
     assert code == 0
     assert load_model(model_path).threshold == load_model(chain.out / MODEL_FILE).threshold
+
+
+@pytest.mark.parametrize("label", ["2", "300", "-1", "1_0"])
+def test_cli_train_rejects_labels_other_than_0_and_1(chain, tmp_path, capsys, label):
+    out = tmp_path / "out"
+    out.mkdir()
+    lines = (chain.out / FEATURES_FILE).read_text().splitlines(keepends=True)
+    image_id, _, rest = lines[3].split(",", 2)
+    lines[3] = f"{image_id},{label},{rest}"
+    (out / FEATURES_FILE).write_text("".join(lines))
+    code = cli.main(["train", "--config", str(chain.ws.config), "--paths.output", str(out)])
+    assert code == 2
+    assert f"{FEATURES_FILE}:4: label must be 0 or 1" in capsys.readouterr().err
+    assert not (out / MODEL_FILE).exists()
 
 
 def test_cli_data_error_exits_2(tmp_path, capsys):
