@@ -18,6 +18,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
+import numpy as np
+
 from lineuplab import corpus as corpus_mod
 from lineuplab import lineup as lineup_mod
 from lineuplab import simindex
@@ -394,6 +396,13 @@ def run_features(config: PipelineConfig) -> Path:
     from the configured target image (source by default, probe optionally);
     labels come from the results CSV when present (1 = lineup failure).
     """
+    return _write_features(config)[0]
+
+
+def _write_features(config: PipelineConfig):
+    """``run_features``'s path and the rows it wrote, as ``read_feature_csv``
+    would return them: the CSV holds ``repr`` of finite values, so parsing
+    it gives the same bits."""
     embeddings_path = _require(config, "embeddings_original", "paths.embeddings_original")
     landmarks_path = _require(config, "landmarks", "paths.landmarks")
     handle = ingest_embeddings(embeddings_path)
@@ -418,7 +427,9 @@ def run_features(config: PipelineConfig) -> Path:
     path = config.out(FEATURES_FILE)
     with _OutputGuard() as guard:
         write_feature_csv(vectors, full_labels, guard.track(path))
-    return path
+    ids = [fv.image_id for fv in vectors]
+    return path, (ids, np.array([full_labels[i] for i in ids], dtype=np.int64),
+                  np.array([fv.values for fv in vectors], dtype=np.float64))
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +472,7 @@ def run_predict(config: PipelineConfig, features=None):
     """Per-lineup failure probabilities and decisions from stored features.
 
     ``features`` is the stored file's ``read_feature_csv`` result when the
-    caller has parsed it already.
+    caller has parsed or just written it.
     """
     features_path = config.out(FEATURES_FILE)
     if features is None and not features_path.is_file():
@@ -658,11 +669,10 @@ def run_predict_and_restore(config: PipelineConfig) -> ComparisonBundle:
     if not config.out(MANIFEST_FILE).is_file() or not config.out(RESULTS_FILE).is_file():
         run_evaluate(config)
     lineups, results = _stored_lineups(config)
-    features = None
     if config.out(FEATURES_FILE).is_file():
         features = _read_checked_features(config, lineups, results)
     else:
-        run_features(config)
+        features = _write_features(config)[1]
     flagged = {sid for sid, _, is_failure in run_predict(config, features) if is_failure}
     return _rerank(config, [r for r in results if r.lineup.source in flagged], hook=True)
 

@@ -8,6 +8,7 @@ imports from lineuplab.
 
 from __future__ import annotations
 
+import csv
 import math
 
 import numpy as np
@@ -379,3 +380,49 @@ def best_split(X: np.ndarray, a, b, criterion: str, min_leaf: int,
             if gain > best[2]:
                 best = (f, threshold, gain)
     return best
+
+
+# ---------------------------------------------------------------------------
+# Feature CSV
+
+
+def read_feature_csv(path) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """The feature CSV read with ``csv.reader`` and one ``float()`` per cell.
+    A fault raises ``ValueError`` carrying the library's ``DataError`` text."""
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader, None)
+            except csv.Error:
+                header = None
+            if not header or header[:2] != ["image_id", "label"]:
+                raise ValueError(f"{path}: missing or malformed feature header")
+            ids, labels, rows = [], [], []
+            lineno = 1
+            try:
+                for row in reader:
+                    lineno += 1
+                    if len(row) != len(header):
+                        raise ValueError(
+                            f"{path}:{lineno}: expected {len(header)} columns, got {len(row)}")
+                    if row[1] not in ("0", "1"):
+                        raise ValueError(f"{path}:{lineno}: label must be 0 or 1, got {row[1]!r}")
+                    try:
+                        values = [float(x) for x in row[2:]]
+                    except ValueError:
+                        raise ValueError(f"{path}:{lineno}: non-numeric value") from None
+                    ids.append(row[0])
+                    labels.append(int(row[1]))
+                    rows.append(values)
+            except csv.Error as exc:
+                raise ValueError(f"{path}:{lineno + 1}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    if not ids:
+        raise ValueError(f"{path}: no feature rows")
+    matrix = np.zeros((len(rows), len(header) - 2))
+    for i, values in enumerate(rows):
+        for j, x in enumerate(values):
+            matrix[i, j] = x
+    return ids, np.array(labels, dtype=np.int64), matrix

@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -21,7 +22,8 @@ from lineuplab.imgfeat import (
     texture_features,
     write_feature_csv,
 )
-from lineuplab.imgfeat.features import sanitize
+from lineuplab.imgfeat import features as features_mod
+from lineuplab.imgfeat.features import FeatureVector, sanitize
 from lineuplab.imgfeat.geometry import SYMMETRY_PAIRS, eye_aspect_ratio, mouth_aspect_ratio
 
 
@@ -284,6 +286,100 @@ def test_feature_csv_round_trip(tmp_path, rng):
     assert got_labels.tolist() == [0, 1, 0, 1]
     for i, fv in enumerate(vectors):
         assert np.array_equal(matrix[i], fv.values)  # repr round-trip is exact
+
+
+HEADER = "image_id,label,a,b\n"
+
+# (name, file content, whether the row loop has to read it again); every
+# input must give the oracle's arrays bit for bit or its error text
+FEATURE_CSV_CASES = [
+    ("plain", HEADER + "x,1,1.5,-2\ny,0,3,4\n", False),
+    ("empty_line_middle", HEADER + "x,1,1,2\n\ny,0,3,4\n", True),
+    ("empty_line_trailing", HEADER + "x,1,1,2\n\n", True),
+    ("only_empty_lines", HEADER + "\n\n", True),
+    ("empty_crlf_line", HEADER + "x,1,1,2\r\n\r\ny,0,3,4\r\n", True),
+    ("whitespace_line", HEADER + "x,1,1,2\n \ny,0,3,4\n", True),
+    ("short_row", HEADER + "x,1,1,2\ny,0,3\n", True),
+    ("long_row", HEADER + "x,1,1,2,5\n", True),
+    ("trailing_comma", HEADER + "x,1,1,2,\n", True),
+    ("quoted_comma", HEADER + '"x,y",1,1,2\n', False),
+    ("quoted_quote", HEADER + '"x""y",0,1,2\n', False),
+    ("quoted_newline", HEADER + '"x\ny",1,1,2\nz,0,3,4\n', True),
+    ("quoted_crlf", HEADER + '"x\r\ny",1,1,2\r\nz,0,3,4\r\n', True),
+    ("quoted_empty_line", HEADER + '"x\n\ny",1,1,2\n', True),
+    ("crlf", HEADER.replace("\n", "\r\n") + "x,1,1,2\r\ny,0,3,4\r\n", False),
+    ("bare_cr", HEADER.replace("\n", "\r") + "x,1,1,2\ry,0,3,4\r", False),
+    ("no_final_newline", HEADER + "x,1,1,2\ny,0,3,4", False),
+    ("hash_id", HEADER + "#x,1,1,2\n#y,0,3,4\n", False),
+    ("bom_in_id", HEADER + "\ufeffx,1,1,2\n", False),
+    ("bom_before_header", "\ufeff" + HEADER + "x,1,1,2\n", False),
+    ("underscore_digits", HEADER + "x,1,1_0,2\n", True),
+    ("arabic_digits", HEADER + "x,1,\u0661\u0662,2\n", True),
+    ("empty_cell", HEADER + "x,1,,2\n", True),
+    ("hex_value", HEADER + "x,1,0x10,2\n", True),
+    ("label_space_before", HEADER + "x, 1,1,2\n", True),
+    ("label_space_after", HEADER + "x,1 ,1,2\n", True),
+    ("label_quoted", HEADER + 'x,"1",1,2\n', False),
+    ("label_two", HEADER + "x,2,1,2\n", True),
+    ("special_values", HEADER + "x,1,nan,-inf\ny,0,-0,1e400\nz,1,-nan, 1.5 \n", False),
+    ("no_rows", HEADER, True),
+    ("no_header", "", False),
+    ("id_over_csv_field_limit", HEADER + "x" * (csv.field_size_limit() + 1) + ",1,1,2\n", True),
+    ("cell_over_csv_field_limit_across_lines",
+     HEADER + 'x,1,"' + " " * 70_000 + "\n" + " " * 70_000 + '1.5",2\n', True),
+    # past the text decoder's first chunk, so the header reads cleanly
+    ("undecodable_past_first_line",
+     (HEADER + "".join(f"x{i},1,1,2\n" for i in range(2_000))).encode() + b"y,0,\xff,2\n", True),
+]
+
+
+@pytest.mark.parametrize("content, loop_expected",
+                         [case[1:] for case in FEATURE_CSV_CASES],
+                         ids=[case[0] for case in FEATURE_CSV_CASES])
+def test_read_feature_csv_matches_row_loop_oracle(tmp_path, monkeypatch, content, loop_expected):
+    path = tmp_path / "f.csv"
+    if isinstance(content, str):
+        path.write_text(content, encoding="utf-8", newline="")
+    else:
+        path.write_bytes(content)
+    loops = []
+    row_loop = features_mod._read_rows
+
+    def counting_loop(*args):
+        loops.append(args[0])
+        return row_loop(*args)
+
+    monkeypatch.setattr(features_mod, "_read_rows", counting_loop)
+    try:
+        want = oracles.read_feature_csv(path)
+    except ValueError as exc:
+        with pytest.raises(DataError) as got:
+            read_feature_csv(path)
+        assert str(got.value) == str(exc)
+    else:
+        ids, labels, matrix = read_feature_csv(path)
+        assert type(ids) is list and ids == want[0]
+        assert labels.dtype == np.int64 and labels.tolist() == want[1].tolist()
+        assert matrix.dtype == np.float64 and matrix.flags.c_contiguous
+        assert matrix.shape == want[2].shape
+        assert matrix.view(np.int64).tolist() == want[2].view(np.int64).tolist()
+    assert bool(loops) == loop_expected
+
+
+def test_feature_csv_round_trip_is_bitwise_for_random_doubles(tmp_path, rng, monkeypatch):
+    monkeypatch.setattr(features_mod, "_read_rows", None)  # the numpy pass only
+    bits = rng.integers(0, 2**64, size=2_100 * 50, dtype=np.uint64, endpoint=False)
+    values = bits.view(np.float64)
+    values = values[np.isfinite(values)][:2_000 * 50].reshape(2_000, 50)
+    values[0, :4] = [0.0, -0.0, 5e-324, -1.7976931348623157e308]
+    vectors = [FeatureVector(f"id{i}", row) for i, row in enumerate(values)]
+    path = write_feature_csv(vectors, {fv.image_id: i % 2 for i, fv in enumerate(vectors)},
+                             tmp_path / "f.csv")
+    ids, labels, matrix = read_feature_csv(path)
+    assert ids == [fv.image_id for fv in vectors]
+    assert labels.tolist() == [i % 2 for i in range(2_000)]
+    assert np.array_equal(matrix.view(np.int64), values.view(np.int64))
+    assert np.array_equal(oracles.read_feature_csv(path)[2].view(np.int64), values.view(np.int64))
 
 
 # ---------------------------------------------------------------------------

@@ -659,6 +659,18 @@ def test_restore_parses_reused_features_once(chain, tmp_path, monkeypatch):
     # the same model on the same rows: predict's file, byte for byte
     assert (out / PREDICTIONS_FILE).read_bytes() == (chain.out / PREDICTIONS_FILE).read_bytes()
 
+    # without features.csv, restore predicts from the rows it has just
+    # written and parses nothing
+    parsed.clear()
+    fresh = tmp_path / "fresh"
+    args = _restore_args(chain, fresh)
+    (fresh / FEATURES_FILE).unlink()
+    assert cli.main([*args, "--hook.command",
+                     f"sh {chain.ws.ok_hook} {{input}} {{output}}"]) == 0
+    assert parsed == []
+    assert (fresh / FEATURES_FILE).read_bytes() == (chain.out / FEATURES_FILE).read_bytes()
+    assert (fresh / PREDICTIONS_FILE).read_bytes() == (chain.out / PREDICTIONS_FILE).read_bytes()
+
 
 @pytest.mark.parametrize("stale", ["ids", "labels"])
 def test_restore_rejects_stale_features(chain, tmp_path, capsys, stale):
