@@ -32,7 +32,6 @@ RECALL_DEPTHS = (8, 9, 10)
 PRECISION_FAMILIES = ("logistic", "gradient_boosting", "random_forest", "xgb_style")
 RECALL_FAMILIES = ("logistic", "extra_trees", "random_forest", "xgb_style")
 
-LOGISTIC_MAX_ITER = 2000
 TREE_ESTIMATOR_CAP = 100
 
 
@@ -157,7 +156,6 @@ class BaseClassifierConfig:
     family: str
     seed: int
     C: float = 1.0
-    max_iter: int = LOGISTIC_MAX_ITER
     n_estimators: int = TREE_ESTIMATOR_CAP
     max_depth: int = 6
     min_split: int = 20
@@ -263,7 +261,7 @@ def train_base(config: BaseClassifierConfig, X: np.ndarray, y: np.ndarray):
         raise DataError("base training set must contain both classes")
     w = class_sample_weights(y, config.class_weight)
     if config.family == "logistic":
-        return learners.fit_logistic(X, y, w, C=config.C, max_iter=config.max_iter)
+        return learners.fit_logistic(X, y, w, C=config.C)
     if config.family == "random_forest":
         rng = np.random.default_rng(config.seed)
         return learners.fit_forest(X, y, w, config.n_estimators, config.tree_params(), rng)

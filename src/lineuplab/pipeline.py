@@ -440,11 +440,20 @@ def _model_path(config: PipelineConfig) -> Path:
     return Path(config.model) if config.model else config.out(MODEL_FILE)
 
 
+def _require_finite(path: Path, ids, matrix: np.ndarray) -> None:
+    """A feature CSV ``features`` wrote holds only finite values (extraction
+    maps nan and inf to 0), so a non-finite cell marks a malformed file."""
+    bad = ~np.isfinite(matrix).all(axis=1)
+    if bad.any():
+        raise DataError(f"{path}: non-finite feature value in row {ids[int(bad.argmax())]!r}")
+
+
 def run_train(config: PipelineConfig):
     features_path = config.out(FEATURES_FILE)
     if not features_path.is_file():
         raise ConfigError(f"feature file not found: {features_path} (run 'features' first)")
     ids, labels, matrix = read_feature_csv(features_path)
+    _require_finite(features_path, ids, matrix)
     data = dataset_from_arrays(matrix, labels, ids)
     train, val, test = stratified_split(data, seed=config.train_seed)
     ens_config = EnsembleConfig.default(config.train_seed).scaled(config.estimators)
@@ -479,6 +488,7 @@ def run_predict(config: PipelineConfig, features=None):
         raise ConfigError(f"feature file not found: {features_path} (run 'features' first)")
     model = _load_model_with_override(config)
     ids, _, matrix = read_feature_csv(features_path) if features is None else features
+    _require_finite(features_path, ids, matrix)
     proba = model.predict_proba(matrix)
     predicted = proba >= model.threshold
     with _OutputGuard() as guard:

@@ -383,6 +383,29 @@ def best_split(X: np.ndarray, a, b, criterion: str, min_leaf: int,
 
 
 # ---------------------------------------------------------------------------
+# Logistic regression
+
+
+def logistic_newton_primal(X: np.ndarray, y, w, C: float,
+                           steps: int = 30) -> tuple[np.ndarray, float]:
+    """(coef, intercept) minimizing sum(w_i * logloss_i) + ||coef||^2 / (2C)
+    with the intercept unpenalized: full Newton steps on the primal system in
+    beta = (coef, intercept), A = [X 1], S = diag(w * p * (1 - p)):
+    (A^T S A + diag(1/C, ..., 1/C, 0)) step = gradient."""
+    n, d = X.shape
+    A = np.hstack([X, np.ones((n, 1))])
+    ridge = np.full(d + 1, 1.0 / C)
+    ridge[d] = 0.0
+    beta = np.zeros(d + 1)
+    for _ in range(steps):
+        p = 0.5 * (1.0 + np.tanh(0.5 * (A @ beta)))  # the sigmoid, without overflow
+        grad = A.T @ (w * (p - y)) + ridge * beta
+        hess = A.T @ (A * (w * p * (1.0 - p))[:, None]) + np.diag(ridge)
+        beta = beta - np.linalg.solve(hess, grad)
+    return beta[:d], float(beta[d])
+
+
+# ---------------------------------------------------------------------------
 # Feature CSV
 
 

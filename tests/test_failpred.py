@@ -204,6 +204,74 @@ def test_constant_features_predict_weighted_prior(family):
     assert proba == pytest.approx([prior] * 5, abs=PRIOR_TOLERANCE[family])
 
 
+def logistic_objective_and_gradient(model, X, y, w, C):
+    """The fitted objective and the norm of its gradient in (coef, intercept)."""
+    z = X @ model.coef + model.intercept
+    loss = np.logaddexp(0.0, z) - y * z
+    err = w * (0.5 * (1.0 + np.tanh(0.5 * z)) - y)
+    grad = np.append(X.T @ err + model.coef / C, err.sum())
+    return float(w @ loss + model.coef @ model.coef / (2.0 * C)), float(np.linalg.norm(grad))
+
+
+# n < d and n == d take the (n + 1) kernel system, n > d the (d + 1) primal one.
+LOGISTIC_SHAPES = [(10, 554), (80, 80), (300, 40)]
+
+
+@pytest.mark.parametrize("C", [1.0, 0.1])
+@pytest.mark.parametrize("shape", LOGISTIC_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+def test_logistic_reaches_the_primal_newton_optimum(shape, C, monkeypatch):
+    n, d = shape
+    rng = np.random.default_rng(n * d)
+    X = rng.normal(size=(n, d))
+    y = (X[:, 0] + X[:, 1] + rng.normal(scale=1.5, size=n) > 0).astype(np.int8)
+    w = rng.uniform(0.5, 2.5, size=n)
+    solve, sizes = np.linalg.solve, []
+    monkeypatch.setattr(np.linalg, "solve", lambda A, b: sizes.append(len(A)) or solve(A, b))
+    model = learners.fit_logistic(X, y, w, C=C)
+    monkeypatch.undo()
+    # A handful of Newton steps, each in the smaller of n and d.
+    assert 0 < len(sizes) <= 12 and set(sizes) == {min(n, d) + 1}
+
+    objective, grad_norm = logistic_objective_and_gradient(model, X, y, w, C)
+    assert grad_norm <= 1e-9 * objective
+    coef, intercept = oracles.logistic_newton_primal(X, y, w, C)
+    want = np.append(coef, intercept)
+    got = np.append(model.coef, model.intercept)
+    assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)
+
+    again = learners.fit_logistic(X, y, w, C=C)
+    assert np.array_equal(again.coef, model.coef) and again.intercept == model.intercept
+
+
+@pytest.mark.parametrize("shape", [(12, 30), (60, 4)], ids=["kernel", "primal"])
+@pytest.mark.parametrize("scale", [1.0, 1e3])
+def test_logistic_fits_well_separated_data_without_warning(shape, scale):
+    # The suite turns every warning into an error, so a fit that overflows,
+    # divides by zero or meets a singular system fails here.
+    n, d = shape
+    rng = np.random.default_rng(5)
+    y = np.arange(n) % 2
+    X = rng.normal(size=(n, d))
+    X[:, 0] += np.where(y == 1, 20.0, -20.0)
+    model = learners.fit_logistic(scale * X, y, class_sample_weights(y, 2.0), C=1.0)
+    assert np.isfinite(model.coef).all() and np.isfinite(model.intercept)
+    assert np.array_equal(model.predict_proba(scale * X) >= 0.5, y == 1)
+
+
+def test_logistic_fits_duplicate_rows():
+    # Six distinct rows, each three times: K = X X^T has rank 6 of 18, but
+    # diag(s) K + I/C stays nonsingular.
+    rng = np.random.default_rng(8)
+    X = np.repeat(rng.normal(size=(6, 25)), 3, axis=0)
+    y = np.repeat(np.array([0, 1, 0, 1, 1, 0]), 3)
+    w = class_sample_weights(y, 1.5)
+    model = learners.fit_logistic(X, y, w, C=1.0)
+    objective, grad_norm = logistic_objective_and_gradient(model, X, y, w, 1.0)
+    assert grad_norm <= 1e-9 * objective
+    tripled = learners.fit_logistic(X[::3], y[::3], 3.0 * w[::3], C=1.0)
+    assert np.allclose(model.coef, tripled.coef, rtol=1e-8, atol=1e-10)
+
+
 def test_train_base_rejects_single_class():
     X = np.random.default_rng(0).normal(size=(10, 2))
     with pytest.raises(DataError, match="both classes"):

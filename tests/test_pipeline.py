@@ -803,6 +803,25 @@ def test_cli_train_rejects_labels_other_than_0_and_1(chain, tmp_path, capsys, la
     assert not (out / MODEL_FILE).exists()
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command", ["train", "predict"])
+def test_cli_rejects_non_finite_features(chain, tmp_path, capsys, command, value):
+    out = tmp_path / "out"
+    out.mkdir()
+    lines = (chain.out / FEATURES_FILE).read_text().splitlines(keepends=True)
+    cells = lines[3].split(",")
+    cells[5] = value
+    lines[3] = ",".join(cells)
+    (out / FEATURES_FILE).write_text("".join(lines))
+    args = [command, "--config", str(chain.ws.config), "--paths.output", str(out)]
+    if command == "predict":
+        args += ["--paths.model", str(chain.out / MODEL_FILE)]
+    assert cli.main(args) == 2
+    assert (f"{FEATURES_FILE}: non-finite feature value in row {cells[0]!r}"
+            in capsys.readouterr().err)
+    assert sorted(p.name for p in out.iterdir()) == [FEATURES_FILE]
+
+
 def test_cli_data_error_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.jsonl"
     bad.write_text('{"image_id": "a"}\n')  # missing fields
