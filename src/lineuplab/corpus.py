@@ -103,13 +103,6 @@ LandmarkTable = dict[ImageId, LandmarkSet]
 
 
 @dataclass(frozen=True)
-class CorpusManifest:
-    source: str
-    dim: int
-    count: int
-
-
-@dataclass(frozen=True)
 class CorpusHandle:
     """Immutable embedding corpus: row order is ingestion order."""
 
@@ -117,7 +110,7 @@ class CorpusHandle:
     identities: tuple[str, ...]
     matrix: np.ndarray  # (count, dim) float32, read-only
     identity_index: dict[str, list[ImageId]]
-    manifest: CorpusManifest
+    source: str
     _row_of: dict[ImageId, int] = field(repr=False, default_factory=dict)
 
     @property
@@ -126,7 +119,7 @@ class CorpusHandle:
 
     @property
     def dim(self) -> int:
-        return self.manifest.dim
+        return self.matrix.shape[1]
 
     def __contains__(self, image_id: ImageId) -> bool:
         return image_id in self._row_of
@@ -158,7 +151,7 @@ class CorpusHandle:
             [self.ids[i] for i in rows],
             [self.identities[i] for i in rows],
             self.matrix[rows].copy(),
-            self.manifest.source,
+            self.source,
         )
 
 
@@ -170,8 +163,7 @@ def _make_handle(ids, identities, matrix, source: str) -> CorpusHandle:
     for i, (image_id, identity) in enumerate(zip(ids, identities)):
         identity_index.setdefault(identity, []).append(image_id)
         row_of[image_id] = i
-    manifest = CorpusManifest(source=source, dim=int(matrix.shape[1]), count=len(ids))
-    return CorpusHandle(tuple(ids), tuple(identities), matrix, identity_index, manifest, row_of)
+    return CorpusHandle(tuple(ids), tuple(identities), matrix, identity_index, source, row_of)
 
 
 def _validate_block(ids, matrix: np.ndarray, label) -> None:

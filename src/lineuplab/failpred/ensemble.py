@@ -169,6 +169,7 @@ class BaseClassifierConfig:
             max_depth=self.max_depth,
             min_split=self.min_split,
             min_leaf=self.min_leaf,
+            random_thresholds=self.family == "extra_trees",
         )
 
 
@@ -262,13 +263,9 @@ def train_base(config: BaseClassifierConfig, X: np.ndarray, y: np.ndarray):
     w = class_sample_weights(y, config.class_weight)
     if config.family == "logistic":
         return learners.fit_logistic(X, y, w, C=config.C)
-    if config.family == "random_forest":
+    if config.family in ("random_forest", "extra_trees"):
         rng = np.random.default_rng(config.seed)
         return learners.fit_forest(X, y, w, config.n_estimators, config.tree_params(), rng)
-    if config.family == "extra_trees":
-        rng = np.random.default_rng(config.seed)
-        return learners.fit_forest(X, y, w, config.n_estimators, config.tree_params(), rng,
-                                   random_thresholds=True)
     if config.family == "gradient_boosting":
         return learners.fit_gradient_boosting(
             X, y, w, config.n_estimators, config.learning_rate, config.tree_params()
@@ -293,6 +290,8 @@ class EnsembleModel:
     def __post_init__(self):
         if not 0.25 <= self.threshold <= 0.75:
             raise DataError(f"threshold {self.threshold} outside [0.25, 0.75]")
+        if not (self.precision_models and self.recall_models):
+            raise DataError("each cohort needs at least one learner")
 
     def _cohort_mean(self, models, Z: np.ndarray) -> np.ndarray:
         acc = np.zeros(Z.shape[0])
@@ -314,10 +313,8 @@ class EnsembleModel:
 
 
 def train_ensemble(train: LabeledDataset, val: LabeledDataset,
-                   config: EnsembleConfig | None = None, seed: int = 0) -> EnsembleModel:
-    if config is None:
-        config = EnsembleConfig.default(seed)
-    standardizer = fit_standardizer([train.matrix])
+                   config: EnsembleConfig) -> EnsembleModel:
+    standardizer = fit_standardizer(train.matrix)
     Xtr = standardizer.transform(train.matrix)
     train_std = LabeledDataset(train.ids, Xtr, train.labels, train.tag)
     cohorts = []

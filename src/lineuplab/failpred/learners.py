@@ -5,10 +5,12 @@ Newton steps, each one linear solve in the smaller of n and d: the ridge
 penalizes only the coefficients, so they lie in the row space of X, and when
 n <= d the step is solved in n + 1 unknowns through K = X X^T.
 
-Trees share one growth engine driven by a split criterion: gini for
-classification forests, weighted least squares on residuals for gradient
-boosting, and second-order gain with an L2 leaf penalty for the regularized
-boosting family.
+Every tree grows through one engine, ``grow_tree``, driven by a split
+criterion: gini for classification forests, weighted least squares on
+residuals for gradient boosting, and second-order gain with an L2 leaf
+penalty for the regularized boosting family. Both boosting families run one
+stagewise log-loss loop, ``_boost``, and differ only in the criterion it
+builds from the labels and the current probabilities each round.
 
 Block layout: the data is held feature-major, ``xt`` of shape (d, n_total),
 and sorted once per dataset into a (d, n) int32 block whose row f lists the
@@ -25,7 +27,7 @@ trees grow sequentially, so identical inputs give bit-identical models.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -187,34 +189,6 @@ class TreeParams:
     random_thresholds: bool = False
 
 
-class _Growth:
-    """Mutable node arrays shared by one tree build."""
-
-    def __init__(self):
-        self.feature: list[int] = []
-        self.threshold: list[float] = []
-        self.left: list[int] = []
-        self.right: list[int] = []
-        self.value: list[float] = []
-
-    def add(self) -> int:
-        self.feature.append(-1)
-        self.threshold.append(0.0)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.value.append(0.0)
-        return len(self.feature) - 1
-
-    def freeze(self) -> Tree:
-        return Tree(
-            feature=np.asarray(self.feature, dtype=np.int32),
-            threshold=np.asarray(self.threshold),
-            left=np.asarray(self.left, dtype=np.int32),
-            right=np.asarray(self.right, dtype=np.int32),
-            value=np.asarray(self.value),
-        )
-
-
 @dataclass(frozen=True)
 class _Criterion:
     """A split criterion: two per-row statistics whose prefix sums score a
@@ -331,29 +305,35 @@ def grow_tree(xt: np.ndarray, sorted_ids: np.ndarray, criterion: _Criterion,
     ascending by feature f, and all rows share one row multiset.
     """
     d = xt.shape[0]
-    growth = _Growth()
+    # One row per node: [feature, threshold, left, right, value]. Both child
+    # ids are allocated before either subtree grows; numbering the nodes
+    # depth-first instead would change every saved model.
+    nodes = [[-1, 0.0, -1, -1, 0.0]]
 
     def build(node: int, block: np.ndarray, depth: int):
         n = block.shape[1]
-        growth.value[node] = criterion.leaf(block[0])
+        nodes[node][4] = criterion.leaf(block[0])
         if depth >= params.max_depth or n < params.min_split or n < 2 * params.min_leaf:
             return
         split = _best_split(xt, block, criterion, params, rng)
         if split is None:
             return
         feature, threshold, left = split
-        lid = growth.add()
-        rid = growth.add()
-        growth.feature[node] = feature
-        growth.threshold[node] = threshold
-        growth.left[node] = lid
-        growth.right[node] = rid
+        lid, rid = len(nodes), len(nodes) + 1
+        nodes.extend(([-1, 0.0, -1, -1, 0.0], [-1, 0.0, -1, -1, 0.0]))
+        nodes[node][:4] = feature, threshold, lid, rid
         build(lid, block[left].reshape(d, -1), depth + 1)
         build(rid, block[~left].reshape(d, -1), depth + 1)
 
-    root = growth.add()
-    build(root, sorted_ids, 0)
-    return growth.freeze()
+    build(0, sorted_ids, 0)
+    feature, threshold, left, right, value = zip(*nodes)
+    return Tree(
+        feature=np.asarray(feature, dtype=np.int32),
+        threshold=np.asarray(threshold),
+        left=np.asarray(left, dtype=np.int32),
+        right=np.asarray(right, dtype=np.int32),
+        value=np.asarray(value),
+    )
 
 
 def presort_columns(X: np.ndarray):
@@ -379,21 +359,18 @@ class ForestModel:
 
 
 def fit_forest(X: np.ndarray, y: np.ndarray, w: np.ndarray, n_estimators: int,
-               params: TreeParams, rng: np.random.Generator,
-               random_thresholds: bool = False) -> ForestModel:
+               params: TreeParams, rng: np.random.Generator) -> ForestModel:
     """Bagged gini trees. The bootstrap draws rows with probability
     proportional to the sample weights, which is how class weighting enters;
-    inside each tree the bootstrap multiplicities act as weights."""
+    inside each tree the bootstrap multiplicities act as weights. An unset
+    mtry scans sqrt(d) features per node."""
     n, d = X.shape
     if len(np.unique(y)) < 2:
         raise DataError("forest training needs both classes")
     xt, base_sorted = presort_columns(X)
     prob = w / w.sum()
-    mtry = params.mtry if params.mtry is not None else max(1, int(np.sqrt(d)))
-    tree_params = TreeParams(
-        max_depth=params.max_depth, min_split=params.min_split,
-        min_leaf=params.min_leaf, mtry=mtry, random_thresholds=random_thresholds,
-    )
+    if params.mtry is None:
+        params = replace(params, mtry=max(1, int(np.sqrt(d))))
     y_float = y.astype(np.float64)
     trees = []
     for _ in range(n_estimators):
@@ -401,7 +378,7 @@ def fit_forest(X: np.ndarray, y: np.ndarray, w: np.ndarray, n_estimators: int,
                              minlength=n).astype(np.float64)
         present = counts > 0
         sorted_ids = base_sorted[present[base_sorted]].reshape(d, -1)
-        trees.append(grow_tree(xt, sorted_ids, _gini(y_float, counts), tree_params, rng))
+        trees.append(grow_tree(xt, sorted_ids, _gini(y_float, counts), params, rng))
     return ForestModel(trees=tuple(trees))
 
 
@@ -433,20 +410,19 @@ def _prior_log_odds(y: np.ndarray, w: np.ndarray) -> float:
     return float(np.log(wy / wn))
 
 
-def fit_gradient_boosting(X: np.ndarray, y: np.ndarray, w: np.ndarray,
-                          n_estimators: int, learning_rate: float,
-                          params: TreeParams) -> BoostedModel:
-    """Log-loss boosting: least-squares trees on residuals, Newton leaves."""
+def _boost(X: np.ndarray, y: np.ndarray, w: np.ndarray, n_estimators: int,
+           learning_rate: float, params: TreeParams,
+           criterion: Callable[[np.ndarray, np.ndarray], _Criterion]) -> BoostedModel:
+    """Stagewise log-loss boosting from the weighted prior log-odds: each
+    round grows one tree on criterion(y, p) at the current probabilities p
+    and adds learning_rate times its output to the decision."""
     xt, sorted_ids = presort_columns(X)
     y_float = y.astype(np.float64)
     f0 = _prior_log_odds(y_float, w)
     z = np.full(X.shape[0], f0)
     trees: list[Tree] = []
     for _ in range(n_estimators):
-        p = sigmoid(z)
-        residual = y_float - p
-        criterion = _least_squares(residual, p * (1.0 - p), w)
-        tree = grow_tree(xt, sorted_ids, criterion, params, None)
+        tree = grow_tree(xt, sorted_ids, criterion(y_float, sigmoid(z)), params, None)
         trees.append(tree)
         if tree.feature[0] < 0 and tree.value[0] == 0.0:
             break  # nothing left to move; later rounds would repeat this
@@ -454,22 +430,17 @@ def fit_gradient_boosting(X: np.ndarray, y: np.ndarray, w: np.ndarray,
     return BoostedModel(f0=f0, learning_rate=learning_rate, trees=tuple(trees))
 
 
+def fit_gradient_boosting(X: np.ndarray, y: np.ndarray, w: np.ndarray,
+                          n_estimators: int, learning_rate: float,
+                          params: TreeParams) -> BoostedModel:
+    """Log-loss boosting: least-squares trees on residuals, Newton leaves."""
+    return _boost(X, y, w, n_estimators, learning_rate, params,
+                  lambda y, p: _least_squares(y - p, p * (1.0 - p), w))
+
+
 def fit_regularized_boosting(X: np.ndarray, y: np.ndarray, w: np.ndarray,
                              n_estimators: int, learning_rate: float,
                              params: TreeParams, lam: float = 1.0) -> BoostedModel:
     """Second-order boosting: gain splits and -G/(H + lambda) leaves."""
-    xt, sorted_ids = presort_columns(X)
-    y_float = y.astype(np.float64)
-    f0 = _prior_log_odds(y_float, w)
-    z = np.full(X.shape[0], f0)
-    trees: list[Tree] = []
-    for _ in range(n_estimators):
-        p = sigmoid(z)
-        g = w * (p - y_float)
-        h = w * p * (1.0 - p)
-        tree = grow_tree(xt, sorted_ids, _second_order(g, h, lam), params, None)
-        trees.append(tree)
-        if tree.feature[0] < 0 and tree.value[0] == 0.0:
-            break
-        z += learning_rate * tree.predict(X)
-    return BoostedModel(f0=f0, learning_rate=learning_rate, trees=tuple(trees))
+    return _boost(X, y, w, n_estimators, learning_rate, params,
+                  lambda y, p: _second_order(w * (p - y), w * p * (1.0 - p), lam))

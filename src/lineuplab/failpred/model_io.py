@@ -15,7 +15,7 @@ float64 exactly, so a save/load cycle preserves predictions bit for bit.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +26,8 @@ from lineuplab.failpred.ensemble import (
     EnsembleModel,
     RebalanceSpec,
     TrainedClassifier,
+    binary_metrics,
+    evaluate_classifier,
 )
 from lineuplab.failpred.learners import BoostedModel, ForestModel, LogisticModel, Tree
 from lineuplab.imgfeat.standardize import Standardizer
@@ -81,6 +83,8 @@ def _model_from_obj(obj: dict):
             intercept=float(obj["intercept"]),
         )
     if kind == "forest":
+        if not obj["trees"]:
+            raise DataError("forest learner has no trees (rerun 'train')")
         return ForestModel(trees=tuple(_tree_from_obj(t) for t in obj["trees"]))
     if kind == "boosted":
         return BoostedModel(
@@ -99,10 +103,21 @@ def _classifier_to_obj(tc: TrainedClassifier) -> dict:
     }
 
 
+def _from_echo(cls, echo: dict):
+    """Rebuild a rebalance spec or learner config from its echo, which must
+    hold exactly the dataclass's fields."""
+    names = {f.name for f in fields(cls)}
+    for problem, keys in (("unknown", set(echo) - names), ("missing", names - set(echo))):
+        if keys:
+            raise DataError(f"learner {cls.__name__} has {problem} key {min(keys)!r}: the "
+                            "model was written by another version; rerun 'train'")
+    return cls(**echo)
+
+
 def _classifier_from_obj(obj: dict) -> TrainedClassifier:
     return TrainedClassifier(
-        spec=RebalanceSpec(**obj["rebalance"]),
-        config=BaseClassifierConfig(**obj["config"]),
+        spec=_from_echo(RebalanceSpec, obj["rebalance"]),
+        config=_from_echo(BaseClassifierConfig, obj["config"]),
         model=_model_from_obj(obj["params"]),
     )
 
@@ -160,6 +175,8 @@ def load_model(path) -> EnsembleModel:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: incomplete model artifact ({exc})") from None
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def _metrics_obj(m) -> dict:
@@ -175,8 +192,6 @@ def save_training_report(model: EnsembleModel, val, path) -> Path:
     Base-model rows are scored at the conventional 0.5 boundary; the
     ensemble row uses the tuned threshold.
     """
-    from lineuplab.failpred.ensemble import binary_metrics, evaluate_classifier
-
     path = Path(path)
     Z = model.standardizer.transform(val.matrix)
 

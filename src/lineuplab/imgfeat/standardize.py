@@ -32,15 +32,9 @@ class Standardizer:
         return out
 
 
-def _as_matrix(train) -> np.ndarray:
-    rows = [getattr(v, "values", v) for v in train]
-    if not rows:
-        raise DataError("cannot fit a standardizer on an empty training set")
-    return np.asarray(np.vstack(rows), dtype=np.float64)
-
-
-def fit_standardizer(train) -> Standardizer:
-    """Learn per-dimension mean and population std from feature rows."""
-    matrix = _as_matrix(train)
+def fit_standardizer(matrix: np.ndarray) -> Standardizer:
+    """Learn per-dimension mean and population std from the rows of a matrix."""
+    matrix = np.ascontiguousarray(matrix, dtype=np.float64)
+    if matrix.ndim != 2 or matrix.shape[0] == 0:
+        raise DataError("a standardizer needs a non-empty 2-D training matrix")
     return Standardizer(mean=matrix.mean(axis=0), std=matrix.std(axis=0))
-

@@ -95,6 +95,8 @@ class PipelineConfig:
     def __post_init__(self):
         if self.parallelism < 1:
             raise ConfigError(f"parallelism must be >= 1, got {self.parallelism}")
+        if self.estimators < 1:
+            raise ConfigError(f"train.estimators must be >= 1, got {self.estimators}")
         if self.target not in ("source", "probe"):
             raise ConfigError(f"train.target must be 'source' or 'probe', got {self.target!r}")
         if self.threshold_override is not None and not 0.25 <= self.threshold_override <= 0.75:

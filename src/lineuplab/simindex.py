@@ -107,16 +107,6 @@ class NoExclusion:
 
 
 @dataclass(frozen=True)
-class ExcludeSelfId:
-    """Drop the candidate whose image id equals the query's own id."""
-
-    def mask(self, index: "SearchIndex", query_ids) -> np.ndarray | None:
-        _require_ids(query_ids, "exclude-self-id")
-        rows = np.array([index.corpus.row(q) if q in index.corpus else -1 for q in query_ids])
-        return np.arange(index.count)[None, :] == rows[:, None]
-
-
-@dataclass(frozen=True)
 class ExcludeIdentity:
     """Drop every candidate bearing the given identity label."""
 
@@ -140,7 +130,7 @@ class ExcludeOwnIdentity:
         return index.identity_codes[None, :] == codes[:, None]
 
 
-ExclusionRule = NoExclusion | ExcludeSelfId | ExcludeIdentity | ExcludeOwnIdentity
+ExclusionRule = NoExclusion | ExcludeIdentity | ExcludeOwnIdentity
 
 
 @dataclass(frozen=True)

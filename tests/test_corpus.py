@@ -29,7 +29,6 @@ def test_jsonl_ingest_basic(tmp_path, rng):
     handle = make_corpus(tmp_path, rng, n_identities=3, per_identity=2, dim=8)
     assert handle.count == 6
     assert handle.dim == 8
-    assert handle.manifest.count == 6
     assert "p0000_i0" in handle
     assert "nope" not in handle
     assert handle.identity_of("p0001_i1") == "p0001"

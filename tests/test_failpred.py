@@ -1,6 +1,7 @@
 """Failure-prediction tests: splitting, rebalancing, learners, the
 dual-cohort ensemble, threshold tuning, and the model artifact."""
 
+import hashlib
 import json
 from types import SimpleNamespace
 
@@ -30,7 +31,7 @@ from lineuplab.failpred import (
     train_ensemble,
 )
 from lineuplab.failpred.ensemble import Metrics, binary_metrics, threshold_score
-from lineuplab.failpred import learners
+from lineuplab.failpred import learners, model_io
 from lineuplab.failpred.learners import (
     Tree,
     TreeParams,
@@ -345,6 +346,121 @@ def test_depth_one_tree_matches_exhaustive_split_oracle(criterion, min_leaf):
     assert min(left.sum(), (~left).sum()) >= min_leaf
 
 
+def _golden_problem(n: int = 150):
+    """Seeded 150 x 12 rows: two rounded, heavily tied columns, a constant
+    column and nine continuous ones; the label follows the tied columns."""
+    rng = np.random.default_rng(2033)
+    X = rng.normal(size=(n, 12))
+    X[:, 2] = np.round(X[:, 2])
+    X[:, 5] = np.round(2.0 * X[:, 5]) / 2.0
+    X[:, 8] = 3.0
+    score = X[:, 2] + X[:, 5] + 0.8 * rng.normal(size=n)
+    y = (score > np.quantile(score, 0.7)).astype(np.int8)
+    return X, y
+
+
+# sha256 of the sorted-key JSON of each tree learner's serialized model, and
+# of one 4-estimator ensemble's model.json, as written by the engine these
+# digests were recorded with. A change to the tree engine must keep them.
+GOLDEN_DIGESTS = {
+    "random_forest-s3-leaf1-cw1":
+        "48f13e75e5ec8d443d5cf3c30ddab582c1d8b899a231169f74aed22119e99b1a",
+    "random_forest-s3-leaf1-cw2":
+        "969d8a69e793267785300e2c89352581dad8f70de56d1cc0fbd26e9e80f308ab",
+    "random_forest-s3-leaf10-cw1":
+        "ed69712b1f5c5244933feb9f1a50bac41e5400e729d566cec346acc624fc21c4",
+    "random_forest-s3-leaf10-cw2":
+        "9492c43c92218bd75d5bf801ea396de94bfec1f0fff3df17e4de65399439372b",
+    "random_forest-s8-leaf1-cw1":
+        "0a39b1735c2e90f09d50f5c08efeb5d05a5fa3bbed3542e658912573b4c5f768",
+    "random_forest-s8-leaf1-cw2":
+        "be4220b5ab48ff27a74f0905f440951f5416693efb01f202d67092e547189a3f",
+    "random_forest-s8-leaf10-cw1":
+        "bc02a4ac444122042e5cc5f6625522d9c74f00eb55e68bec2d6438e9fce043b1",
+    "random_forest-s8-leaf10-cw2":
+        "40f59e85fad99036fc6fba3dba9fd250e1446a98d599cf57a58844d2d0189fdf",
+    "extra_trees-s3-leaf1-cw1":
+        "040157bd219015d003a38660869c3822388c8758353b8e35e9b912c2baea0e7f",
+    "extra_trees-s3-leaf1-cw2":
+        "2c4c43974ea1b4230152126032e714365e8015271491232d540aa1d3a6445293",
+    "extra_trees-s3-leaf10-cw1":
+        "5dfe1a2a7c7a74e0cf61cea3671a393b01109a9dcbae269864bc6a1f9a150cee",
+    "extra_trees-s3-leaf10-cw2":
+        "473831afc156b9ae8d249c3cda29f3df25ccf79fe582ce715a4c5fb0607fa46c",
+    "extra_trees-s8-leaf1-cw1":
+        "f121852915d1f3841db59bc6fa498880deec6fb4fed393a15a159bac3646869f",
+    "extra_trees-s8-leaf1-cw2":
+        "9602c2a45ae5d2e94ba8d4c4fb71c0dac72031906218d81bae457e99d4b50747",
+    "extra_trees-s8-leaf10-cw1":
+        "30d30a921da33269b1a4fb0060ac0e9a93bd11d06e77289cbe9f1602fdc64c2d",
+    "extra_trees-s8-leaf10-cw2":
+        "9b23b4bf2521412cd5d0858638fb841e0d1995391611a41d4d24d1036fef8aab",
+    "gradient_boosting-s3-leaf1-cw1":
+        "c98627f1f1c01042767df0e65d222c1d432276b8943fb602f71522b35af114ae",
+    "gradient_boosting-s3-leaf1-cw2":
+        "ba9849dfd4cf6e4400897c34461e2326c3a86549fbc177fc7e93802f70ff2fcb",
+    "gradient_boosting-s3-leaf10-cw1":
+        "6dadf6b4a79b4d6dbfc6624d487a5ba5b21bf75d0741c25337d984fad574dda9",
+    "gradient_boosting-s3-leaf10-cw2":
+        "c6d13d1feffebc21c0ff1b40cbd5b20ac662040e5f66dff27e36354b5f7cc1c9",
+    "gradient_boosting-s8-leaf1-cw1":
+        "c98627f1f1c01042767df0e65d222c1d432276b8943fb602f71522b35af114ae",
+    "gradient_boosting-s8-leaf1-cw2":
+        "ba9849dfd4cf6e4400897c34461e2326c3a86549fbc177fc7e93802f70ff2fcb",
+    "gradient_boosting-s8-leaf10-cw1":
+        "6dadf6b4a79b4d6dbfc6624d487a5ba5b21bf75d0741c25337d984fad574dda9",
+    "gradient_boosting-s8-leaf10-cw2":
+        "c6d13d1feffebc21c0ff1b40cbd5b20ac662040e5f66dff27e36354b5f7cc1c9",
+    "xgb_style-s3-leaf1-cw1":
+        "c1605d17542bde0f3335fd7dd3db4592aba4eeb941ad77c81202f722eb132962",
+    "xgb_style-s3-leaf1-cw2":
+        "a24a005600bf630f47000cb4ade908741062465959bb0220c8178b30f4c87ef1",
+    "xgb_style-s3-leaf10-cw1":
+        "0dfb6c4a88d3ed8555454d98b370844bdc646870a6ed227f41d9472a449e539f",
+    "xgb_style-s3-leaf10-cw2":
+        "dc69c004b786b52ae9bcb2b5df204e4504416397686bcdafeaf20372678d6b6b",
+    "xgb_style-s8-leaf1-cw1":
+        "c1605d17542bde0f3335fd7dd3db4592aba4eeb941ad77c81202f722eb132962",
+    "xgb_style-s8-leaf1-cw2":
+        "a24a005600bf630f47000cb4ade908741062465959bb0220c8178b30f4c87ef1",
+    "xgb_style-s8-leaf10-cw1":
+        "0dfb6c4a88d3ed8555454d98b370844bdc646870a6ed227f41d9472a449e539f",
+    "xgb_style-s8-leaf10-cw2":
+        "dc69c004b786b52ae9bcb2b5df204e4504416397686bcdafeaf20372678d6b6b",
+    "ensemble":
+        "cd1784e8b0463b9d4c3045720681653046fcdd2c3e6b40346f8fd68228017ba4",
+}
+
+TREE_FAMILIES = ("random_forest", "extra_trees", "gradient_boosting", "xgb_style")
+GOLDEN_CASES = [
+    f"{family}-s{seed}-leaf{min_leaf}-cw{class_weight}"
+    for family in TREE_FAMILIES for seed in (3, 8) for min_leaf in (1, 10)
+    for class_weight in (1, 2)
+] + ["ensemble"]
+
+
+def _golden_bytes(case: str, tmp_path) -> bytes:
+    X, y = _golden_problem()
+    if case == "ensemble":
+        data = dataset_from_arrays(X, y)
+        train, val, _ = stratified_split(data, seed=4)
+        path = save_model(train_ensemble(train, val, EnsembleConfig.default(6).scaled(4)),
+                          tmp_path / "model.json")
+        return path.read_bytes()
+    family, seed, min_leaf, class_weight = case.split("-")
+    config = BaseClassifierConfig(
+        family=family, seed=int(seed[1:]), n_estimators=3, max_depth=5, min_split=4,
+        min_leaf=int(min_leaf[4:]), class_weight=float(class_weight[2:]))
+    obj = model_io._model_to_obj(train_base(config, X, y))
+    return json.dumps(obj, sort_keys=True).encode()
+
+
+@pytest.mark.parametrize("case", GOLDEN_CASES)
+def test_tree_learners_match_golden_digest(case, tmp_path):
+    digest = hashlib.sha256(_golden_bytes(case, tmp_path)).hexdigest()
+    assert digest == GOLDEN_DIGESTS[case]
+
+
 def test_grown_tree_threshold_is_left_boundary_value():
     X = np.array([[0.0], [1.0], [2.0], [3.0]])
     y = np.array([0, 0, 1, 1], dtype=np.int8)
@@ -630,6 +746,34 @@ def test_load_model_file_errors(trained, tmp_path):
     del payload["standardizer"]
     saved.write_text(json.dumps(payload))
     with pytest.raises(DataError, match="incomplete"):
+        load_model(saved)
+
+    # A config echo from another version names the stale key.
+    payload = json.loads(save_model(trained.model, saved).read_text())
+    echo = payload["cohorts"]["precision"][0]["config"]
+    echo["max_iter"] = 2000
+    saved.write_text(json.dumps(payload))
+    with pytest.raises(DataError, match="unknown key 'max_iter'.*rerun 'train'"):
+        load_model(saved)
+    del echo["max_iter"], echo["leaf_penalty"]
+    saved.write_text(json.dumps(payload))
+    with pytest.raises(DataError, match="missing key 'leaf_penalty'.*rerun 'train'"):
+        load_model(saved)
+
+    # A forest without trees would predict 0/0.
+    payload = json.loads(save_model(trained.model, saved).read_text())
+    forest = next(o for o in payload["cohorts"]["precision"]
+                  if o["params"]["kind"] == "forest")
+    forest["params"]["trees"] = []
+    saved.write_text(json.dumps(payload))
+    with pytest.raises(DataError, match="no trees"):
+        load_model(saved)
+
+    # Neither can a cohort without learners.
+    payload = json.loads(save_model(trained.model, saved).read_text())
+    payload["cohorts"]["recall"] = []
+    saved.write_text(json.dumps(payload))
+    with pytest.raises(DataError, match="at least one learner"):
         load_model(saved)
 
 

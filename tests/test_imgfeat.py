@@ -387,13 +387,13 @@ def test_feature_csv_round_trip_is_bitwise_for_random_doubles(tmp_path, rng, mon
 
 
 def test_standardizer_example():
-    s = fit_standardizer([np.array([[0.0], [2.0]])])
+    s = fit_standardizer(np.array([[0.0], [2.0]]))
     assert s.mean.tolist() == [1.0] and s.std.tolist() == [1.0]
     assert s.transform(np.array([[0.0]])).tolist() == [[-1.0]]
 
 
 def test_standardizer_zero_std_dimension():
-    s = fit_standardizer([np.array([[5.0, 1.0], [5.0, 3.0]])])
+    s = fit_standardizer(np.array([[5.0, 1.0], [5.0, 3.0]]))
     z = s.transform(np.array([[99.0, 2.0]]))
     assert z[0, 0] == 0.0
     assert z[0, 1] == 0.0  # (2 - 2) / 1
@@ -401,7 +401,7 @@ def test_standardizer_zero_std_dimension():
 
 def test_standardizer_self_consistency(rng):
     X = rng.normal(size=(50, 6)) * rng.uniform(0.5, 4.0, size=6) + rng.normal(size=6)
-    s = fit_standardizer([X])
+    s = fit_standardizer(X)
     Z = s.transform(X)
     assert np.all(np.abs(Z.mean(axis=0)) < 1e-9)
     assert np.allclose(Z.std(axis=0), 1.0, atol=1e-9)
@@ -415,7 +415,7 @@ def test_standardizer_on_feature_vectors(rng):
         )
         for i in range(6)
     ]
-    s = fit_standardizer(vectors)
+    s = fit_standardizer(np.stack([v.values for v in vectors]))
     assert s.dim == vectors[0].values.size
 
 

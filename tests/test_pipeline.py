@@ -115,6 +115,8 @@ def test_config_file_errors(tmp_path):
     ({"predict.threshold": [0.5]}, "predict.threshold"),
     ({"paths.images": 7}, "paths.images"),
     ({"paths.output": None}, "paths.output"),
+    ({"train.estimators": "0"}, "train.estimators"),
+    ({"train.estimators": "-3"}, "train.estimators"),
 ])
 def test_config_validation_errors(overrides, message, tmp_path):
     with pytest.raises(ConfigError, match=message):
@@ -376,7 +378,7 @@ def test_chain_exit_codes(chain):
 def test_ingest_and_curate_artifacts(chain):
     binary = ingest_embeddings(chain.out / "embeddings.bin")
     assert binary.count == IDENTITIES * PER_IDENTITY
-    assert binary.manifest.dim == DIM
+    assert binary.dim == DIM
 
     report = json.loads((chain.out / CURATION_REPORT_FILE).read_text())
     dark = (IDENTITIES - CLUSTERED) * PER_IDENTITY

@@ -10,7 +10,6 @@ from lineuplab.corpus import ingest_embeddings
 from lineuplab.errors import DataError
 from lineuplab.simindex import (
     ExcludeIdentity,
-    ExcludeSelfId,
     NoExclusion,
     brute_force_topk,
     build_index,
@@ -95,23 +94,6 @@ def test_k_exceeding_eligible_names_query(tmp_path, rng):
     with pytest.raises(DataError, match="eligible"):
         search_batch(index, [(qid, index.query_vector(qid))], 3,
                      exclude=ExcludeIdentity(handle.identity_of(qid)))
-
-
-def test_exclude_self_id(tmp_path, rng):
-    handle = make_corpus(tmp_path, rng, n_identities=4, per_identity=2, dim=8)
-    index = build_index(handle)
-    qid = handle.ids[0]
-    res = search_batch(index, [(qid, index.query_vector(qid))], handle.count - 1,
-                       exclude=ExcludeSelfId())[0]
-    assert qid not in {h.image_id for h in res.hits}
-    assert len(res.hits) == handle.count - 1
-
-
-def test_exclude_self_id_requires_query_id(tmp_path, rng):
-    handle = make_corpus(tmp_path, rng, n_identities=2, per_identity=2, dim=4)
-    index = build_index(handle)
-    with pytest.raises(DataError, match="image id"):
-        search_batch(index, np.asarray([[1.0, 0, 0, 0]]), 2, exclude=ExcludeSelfId())
 
 
 def test_exclude_identity(tmp_path, rng):
