@@ -22,22 +22,15 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _dest(dotted: str) -> str:
-    return "opt__" + dotted.replace(".", "__")
-
-
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="FILE", help="JSON configuration file")
     for dotted in pipeline.CONFIG_LEAVES:
-        parser.add_argument(f"--{dotted}", dest=_dest(dotted), metavar="VALUE", default=None)
+        parser.add_argument(f"--{dotted}", dest=dotted, metavar="VALUE", default=None)
 
 
 def _config_from(args: argparse.Namespace) -> pipeline.PipelineConfig:
-    overrides = {}
-    for dotted in pipeline.CONFIG_LEAVES:
-        value = getattr(args, _dest(dotted), None)
-        if value is not None:
-            overrides[dotted] = value
+    overrides = {dotted: getattr(args, dotted) for dotted in pipeline.CONFIG_LEAVES
+                 if getattr(args, dotted) is not None}
     return pipeline.load_config(args.config, overrides)
 
 
@@ -72,49 +65,37 @@ def build_parser() -> argparse.ArgumentParser:
 def _run(args: argparse.Namespace) -> int:
     config = _config_from(args)
     command = args.command
-    if command == "ingest":
-        path = pipeline.run_ingest(config, fmt=args.format)
-        print(f"wrote {path}")
+    # Looked up on every run, so a wrapper rebound onto the module attribute
+    # (a tracer, a test double) is the function that runs.
+    run = getattr(pipeline, "run_predict_and_restore" if command == "restore"
+                  else f"run_{command}")
+    result = run(config, fmt=args.format) if command == "ingest" else run(config)
+    if command in ("ingest", "index", "features"):
+        print(f"wrote {result}")
     elif command == "curate":
-        report = pipeline.run_curate(config)
-        print(f"retained {report.retained.count} images, removed {len(report.removed)}")
-        for reason, count in sorted(report.counts.items()):
+        print(f"retained {result.retained.count} images, removed {len(result.removed)}")
+        for reason, count in sorted(result.counts.items()):
             print(f"  {reason}: {count}")
-    elif command == "index":
-        path = pipeline.run_index(config)
-        print(f"wrote {path}")
     elif command == "evaluate":
-        report = pipeline.run_evaluate(config)
-        if report is None:
+        if result is None:
             print("no eligible sources; empty report written")
         else:
-            print(f"lineups: {len(report.results)}  accuracy: {report.accuracy:.4f}  "
-                  f"skipped: {len(report.skipped)}")
-    elif command == "features":
-        path = pipeline.run_features(config)
-        print(f"wrote {path}")
+            print(f"lineups: {len(result.results)}  accuracy: {result.accuracy:.4f}  "
+                  f"skipped: {len(result.skipped)}")
     elif command == "train":
-        model, metrics = pipeline.run_train(config)
+        model, metrics = result
         print(f"threshold: {model.threshold:.6f}")
         print(f"test precision: {metrics.precision:.4f}  recall: {metrics.recall:.4f}  "
               f"f1: {metrics.f1:.4f}")
     elif command == "predict":
-        rows = pipeline.run_predict(config)
-        flagged = sum(1 for _, _, failure in rows if failure)
-        print(f"scored {len(rows)} lineups, {flagged} predicted failures")
-    elif command == "restore":
-        bundle = pipeline.run_predict_and_restore(config)
-        print(f"compared {len(bundle.report.per_lineup)} lineups, "
-              f"{len(bundle.report.failed)} failed restorations")
-    elif command == "compare":
-        bundle = pipeline.run_compare(config)
-        print(f"compared {len(bundle.report.per_lineup)} lineups, "
-              f"{len(bundle.report.failed)} failed restorations")
-    elif command == "report":
-        for path in pipeline.run_report(config):
+        flagged = sum(1 for _, _, failure in result if failure)
+        print(f"scored {len(result)} lineups, {flagged} predicted failures")
+    elif command in ("restore", "compare"):
+        print(f"compared {len(result.report.per_lineup)} lineups, "
+              f"{len(result.report.failed)} failed restorations")
+    else:  # report
+        for path in result:
             print(f"wrote {path}")
-    else:  # pragma: no cover - argparse enforces the choices
-        raise ConfigError(f"unknown command {command!r}")
     return 0
 
 

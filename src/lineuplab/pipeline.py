@@ -69,6 +69,10 @@ CURATED_FILE = "curated_embeddings.bin"
 CURATION_REPORT_FILE = "curation_report.json"
 INDEX_FILE = "search.index"
 
+# subprocess waits on a hook through poll(), whose timeout is a signed 32-bit
+# count of milliseconds; a longer hook.timeout overflows it.
+MAX_HOOK_TIMEOUT_S = 2_147_483
+
 
 @dataclass(frozen=True)
 class PipelineConfig:
@@ -97,6 +101,8 @@ class PipelineConfig:
             raise ConfigError(f"parallelism must be >= 1, got {self.parallelism}")
         if self.estimators < 1:
             raise ConfigError(f"train.estimators must be >= 1, got {self.estimators}")
+        if self.train_seed < 0:
+            raise ConfigError(f"train.seed must be >= 0, got {self.train_seed}")
         if self.target not in ("source", "probe"):
             raise ConfigError(f"train.target must be 'source' or 'probe', got {self.target!r}")
         if self.threshold_override is not None and not 0.25 <= self.threshold_override <= 0.75:
@@ -105,6 +111,10 @@ class PipelineConfig:
             )
         if not self.hook_timeout > 0:
             raise ConfigError(f"hook.timeout must be > 0, got {self.hook_timeout}")
+        if not self.hook_timeout <= MAX_HOOK_TIMEOUT_S:
+            raise ConfigError(
+                f"hook.timeout must be at most {MAX_HOOK_TIMEOUT_S} s, got {self.hook_timeout}"
+            )
         if not 0.0 <= self.hook_failure_threshold <= 1.0:
             raise ConfigError(
                 f"hook.failure_threshold must lie in [0, 1], got {self.hook_failure_threshold}"
@@ -230,14 +240,18 @@ def load_config(path=None, overrides: dict | None = None) -> PipelineConfig:
         raise ConfigError(f"invalid configuration: {exc}") from None
 
 
-def _require(config: PipelineConfig, attr: str, dotted: str) -> Path:
-    value = getattr(config, attr)
+def _require(config: PipelineConfig, dotted: str) -> Path:
+    value = getattr(config, CONFIG_LEAVES[dotted][0])
     if value is None:
         raise ConfigError(f"config value {dotted} is required for this command")
     path = Path(value)
     if not path.exists():
         raise ConfigError(f"{dotted}: path does not exist: {path}")
     return path
+
+
+def _corpus(config: PipelineConfig, dotted: str = "paths.embeddings_original"):
+    return ingest_embeddings(_require(config, dotted))
 
 
 class _OutputGuard:
@@ -330,42 +344,29 @@ class RestorationHook:
 def run_evaluate(config: PipelineConfig) -> AccuracyReport | None:
     """Lineups, per-lineup results, and an accuracy summary for one corpus.
 
-    Returns None when no source is eligible; the summary still states that
-    explicitly rather than failing.
+    Returns None when no source is eligible; the (empty) artifacts are still
+    written and the summary states that explicitly rather than failing.
     """
-    embeddings_path = _require(config, "embeddings_original", "paths.embeddings_original")
-    handle = ingest_embeddings(embeddings_path)
+    handle = _corpus(config)
     index = simindex.build_index(handle)
+    try:
+        report = lineup_mod.evaluate_corpus(
+            handle, index, handle.ids, config.lineup_seed,
+            distinct_filler_identities=config.distinct_fillers,
+        )
+    except NoEligibleSources:
+        report, results = None, []
+        summary = {"accuracy": None, "skipped": [], "message": "no eligible sources"}
+    else:
+        results = report.results
+        summary = {"accuracy": report.accuracy,
+                   "skipped": [[sid, reason] for sid, reason in report.skipped]}
+    summary.update(lineups=len(results), successes=sum(r.success for r in results),
+                   sources_total=handle.count)
     with _OutputGuard() as guard:
-        manifest_path = guard.track(config.out(MANIFEST_FILE))
-        results_path = guard.track(config.out(RESULTS_FILE))
-        summary_path = guard.track(config.out(SUMMARY_FILE))
-        try:
-            report = lineup_mod.evaluate_corpus(
-                handle, index, handle.ids, config.lineup_seed,
-                distinct_filler_identities=config.distinct_fillers,
-            )
-        except NoEligibleSources:
-            write_lineup_manifest([], manifest_path)
-            write_results_csv([], results_path)
-            _write_json(summary_path, {
-                "accuracy": None,
-                "lineups": 0,
-                "successes": 0,
-                "skipped": [],
-                "sources_total": handle.count,
-                "message": "no eligible sources",
-            })
-            return None
-        write_lineup_manifest([r.lineup for r in report.results], manifest_path)
-        write_results_csv(report.results, results_path)
-        _write_json(summary_path, {
-            "accuracy": report.accuracy,
-            "lineups": len(report.results),
-            "successes": sum(r.success for r in report.results),
-            "skipped": [[sid, reason] for sid, reason in report.skipped],
-            "sources_total": handle.count,
-        })
+        write_lineup_manifest([r.lineup for r in results], guard.track(config.out(MANIFEST_FILE)))
+        write_results_csv(results, guard.track(config.out(RESULTS_FILE)))
+        _write_json(guard.track(config.out(SUMMARY_FILE)), summary)
     return report
 
 
@@ -373,22 +374,21 @@ def run_evaluate(config: PipelineConfig) -> AccuracyReport | None:
 # Features
 
 
-def _feature_one(handle, landmarks, images_dir, key: ImageId, target: ImageId):
-    img = corpus_mod.load_grayscale_image(corpus_mod.image_path(images_dir, target))
-    fv = assemble_feature_vector(handle.record(target), img, landmarks.get(target))
-    return FeatureVector(image_id=key, values=fv.values)
-
-
 def extract_features(config: PipelineConfig, handle, landmarks, items) -> list[FeatureVector]:
     """items: list of (key, target image id). Output preserves item order
     regardless of the parallelism degree."""
-    images_dir = _require(config, "images", "paths.images")
+    images_dir = _require(config, "paths.images")
+
+    def one(item) -> FeatureVector:
+        key, target = item
+        img = corpus_mod.load_grayscale_image(corpus_mod.image_path(images_dir, target))
+        fv = assemble_feature_vector(handle.record(target), img, landmarks.get(target))
+        return FeatureVector(image_id=key, values=fv.values)
+
     if config.parallelism > 1:
         with ThreadPoolExecutor(max_workers=config.parallelism) as pool:
-            return list(pool.map(
-                lambda it: _feature_one(handle, landmarks, images_dir, it[0], it[1]), items
-            ))
-    return [_feature_one(handle, landmarks, images_dir, key, tgt) for key, tgt in items]
+            return list(pool.map(one, items))
+    return [one(item) for item in items]
 
 
 def run_features(config: PipelineConfig) -> Path:
@@ -405,10 +405,8 @@ def _write_features(config: PipelineConfig):
     """``run_features``'s path and the rows it wrote, as ``read_feature_csv``
     would return them: the CSV holds ``repr`` of finite values, so parsing
     it gives the same bits."""
-    embeddings_path = _require(config, "embeddings_original", "paths.embeddings_original")
-    landmarks_path = _require(config, "landmarks", "paths.landmarks")
-    handle = ingest_embeddings(embeddings_path)
-    landmarks = ingest_landmarks(landmarks_path)
+    handle = _corpus(config)
+    landmarks = ingest_landmarks(_require(config, "paths.landmarks"))
     manifest_path = config.out(MANIFEST_FILE)
     results_path = config.out(RESULTS_FILE)
     labels: dict[str, int] = {}
@@ -442,20 +440,22 @@ def _model_path(config: PipelineConfig) -> Path:
     return Path(config.model) if config.model else config.out(MODEL_FILE)
 
 
-def _require_finite(path: Path, ids, matrix: np.ndarray) -> None:
-    """A feature CSV ``features`` wrote holds only finite values (extraction
-    maps nan and inf to 0), so a non-finite cell marks a malformed file."""
+def _stored_features(config: PipelineConfig):
+    """``read_feature_csv`` of the stored feature CSV. A file ``features``
+    wrote holds only finite values (extraction maps nan and inf to 0), so a
+    non-finite cell marks a malformed file."""
+    path = config.out(FEATURES_FILE)
+    if not path.is_file():
+        raise ConfigError(f"feature file not found: {path} (run 'features' first)")
+    ids, labels, matrix = read_feature_csv(path)
     bad = ~np.isfinite(matrix).all(axis=1)
     if bad.any():
         raise DataError(f"{path}: non-finite feature value in row {ids[int(bad.argmax())]!r}")
+    return ids, labels, matrix
 
 
 def run_train(config: PipelineConfig):
-    features_path = config.out(FEATURES_FILE)
-    if not features_path.is_file():
-        raise ConfigError(f"feature file not found: {features_path} (run 'features' first)")
-    ids, labels, matrix = read_feature_csv(features_path)
-    _require_finite(features_path, ids, matrix)
+    ids, labels, matrix = _stored_features(config)
     data = dataset_from_arrays(matrix, labels, ids)
     train, val, test = stratified_split(data, seed=config.train_seed)
     ens_config = EnsembleConfig.default(config.train_seed).scaled(config.estimators)
@@ -485,12 +485,8 @@ def run_predict(config: PipelineConfig, features=None):
     ``features`` is the stored file's ``read_feature_csv`` result when the
     caller has parsed or just written it.
     """
-    features_path = config.out(FEATURES_FILE)
-    if features is None and not features_path.is_file():
-        raise ConfigError(f"feature file not found: {features_path} (run 'features' first)")
     model = _load_model_with_override(config)
-    ids, _, matrix = read_feature_csv(features_path) if features is None else features
-    _require_finite(features_path, ids, matrix)
+    ids, _, matrix = _stored_features(config) if features is None else features
     proba = model.predict_proba(matrix)
     predicted = proba >= model.threshold
     with _OutputGuard() as guard:
@@ -509,7 +505,7 @@ def run_predict(config: PipelineConfig, features=None):
 
 def run_hook(config: PipelineConfig, member_ids) -> dict[ImageId, HookRecord]:
     """Invoke the configured restoration hook once per unique member image."""
-    images_dir = _require(config, "images", "paths.images")
+    images_dir = _require(config, "paths.images")
     hook = RestorationHook(config.hook_command, config.hook_timeout)
     restored_dir = config.out("restored_images")
     restored_dir.mkdir(parents=True, exist_ok=True)
@@ -616,10 +612,8 @@ def _rerank(config: PipelineConfig, results, hook: bool = False) -> ComparisonBu
     set. With ``hook`` and a configured hook command, the hook first runs
     over every member image; an image whose run failed is left out of the
     restored corpus, and the hook status is committed with the reports."""
-    original = ingest_embeddings(
-        _require(config, "embeddings_original", "paths.embeddings_original"))
-    restored = ingest_embeddings(
-        _require(config, "embeddings_restored", "paths.embeddings_restored"))
+    original = _corpus(config)
+    restored = _corpus(config, "paths.embeddings_restored")
     records = None
     if hook and config.hook_command:
         records = run_hook(config, [m for r in results for m in r.lineup.members])
@@ -657,14 +651,12 @@ def _read_checked_features(config: PipelineConfig, lineups, results):
     """``read_feature_csv`` of a reused feature CSV, which must hold the rows
     ``run_features`` would write now: one per lineup source in manifest
     order, labelled 1 for a failed lineup."""
-    path = config.out(FEATURES_FILE)
-    features = read_feature_csv(path)
-    ids, labels, _ = features
+    ids, labels, _ = features = _stored_features(config)
     failed = {r.lineup.source for r in results if not r.success}
     if (ids != [lu.source for lu in lineups]
             or labels.tolist() != [int(lu.source in failed) for lu in lineups]):
-        raise DataError(f"{path} does not match the stored lineups and results "
-                        f"(rerun 'features')")
+        raise DataError(f"{config.out(FEATURES_FILE)} does not match the stored lineups "
+                        f"and results (rerun 'features')")
     return features
 
 
@@ -677,7 +669,7 @@ def run_predict_and_restore(config: PipelineConfig) -> ComparisonBundle:
     the externally re-embedded restored corpus, as ``compare`` does.
     """
     # before evaluate, features or predict commit anything
-    _require(config, "embeddings_restored", "paths.embeddings_restored")
+    _require(config, "paths.embeddings_restored")
     if not config.out(MANIFEST_FILE).is_file() or not config.out(RESULTS_FILE).is_file():
         run_evaluate(config)
     lineups, results = _stored_lineups(config)
@@ -694,11 +686,9 @@ def run_predict_and_restore(config: PipelineConfig) -> ComparisonBundle:
 
 
 def run_curate(config: PipelineConfig):
-    embeddings_path = _require(config, "embeddings_original", "paths.embeddings_original")
-    landmarks_path = _require(config, "landmarks", "paths.landmarks")
-    images_dir = _require(config, "images", "paths.images")
-    handle = ingest_embeddings(embeddings_path)
-    landmarks = ingest_landmarks(landmarks_path)
+    handle = _corpus(config)
+    landmarks = ingest_landmarks(_require(config, "paths.landmarks"))
+    images_dir = _require(config, "paths.images")
     report = corpus_mod.curate(handle, landmarks, images_dir, config.curation_rules())
     with _OutputGuard() as guard:
         corpus_mod.write_embeddings(report.retained, guard.track(config.out(CURATED_FILE)))
@@ -713,8 +703,7 @@ def run_curate(config: PipelineConfig):
 
 def run_ingest(config: PipelineConfig, fmt: str = "binary") -> Path:
     """Validate a corpus and persist it in the requested container format."""
-    embeddings_path = _require(config, "embeddings_original", "paths.embeddings_original")
-    handle = ingest_embeddings(embeddings_path)
+    handle = _corpus(config)
     path = config.out("embeddings.bin" if fmt == "binary" else "embeddings.jsonl")
     with _OutputGuard() as guard:
         corpus_mod.write_embeddings(handle, guard.track(path), fmt=fmt)
@@ -722,9 +711,7 @@ def run_ingest(config: PipelineConfig, fmt: str = "binary") -> Path:
 
 
 def run_index(config: PipelineConfig) -> Path:
-    embeddings_path = _require(config, "embeddings_original", "paths.embeddings_original")
-    handle = ingest_embeddings(embeddings_path)
-    index = simindex.build_index(handle)
+    index = simindex.build_index(_corpus(config))
     path = config.out(INDEX_FILE)
     with _OutputGuard() as guard:
         simindex.save_index(index, guard.track(path))

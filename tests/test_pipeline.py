@@ -117,6 +117,9 @@ def test_config_file_errors(tmp_path):
     ({"paths.output": None}, "paths.output"),
     ({"train.estimators": "0"}, "train.estimators"),
     ({"train.estimators": "-3"}, "train.estimators"),
+    ({"train.seed": "-1"}, "train.seed"),
+    ({"hook.timeout": "inf"}, "hook.timeout"),
+    ({"hook.timeout": "1e7"}, "hook.timeout"),
 ])
 def test_config_validation_errors(overrides, message, tmp_path):
     with pytest.raises(ConfigError, match=message):
@@ -720,11 +723,12 @@ def test_no_eligible_sources_writes_empty_report(tmp_path, capsys):
     ])
     assert code == 0
     assert "no eligible sources" in capsys.readouterr().out
-    summary = json.loads((out / SUMMARY_FILE).read_text())
-    assert summary["accuracy"] is None
-    assert summary["lineups"] == 0
-    assert summary["message"] == "no eligible sources"
-    assert (out / MANIFEST_FILE).read_text() == ""
+    assert (out / SUMMARY_FILE).read_bytes() == (
+        b'{\n  "accuracy": null,\n  "lineups": 0,\n  "message": "no eligible sources",\n'
+        b'  "skipped": [],\n  "sources_total": 6,\n  "successes": 0\n}\n'
+    )
+    assert (out / RESULTS_FILE).read_bytes() == b"source_id,probe_rank,success\n"
+    assert (out / MANIFEST_FILE).read_bytes() == b""
 
 
 # ---------------------------------------------------------------------------

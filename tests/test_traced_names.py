@@ -1,0 +1,43 @@
+"""Every name the benchmark's span tracer wraps must exist in the package.
+
+``perfbench/tracer.py`` looks functions and methods up by name; a rename
+or an inlined helper would otherwise break ``--trace 1`` runs without any
+test of this suite noticing (the tracer's own tests are not collected
+here). The tracer is loaded from its file and left unchanged.
+"""
+
+from __future__ import annotations
+
+import importlib
+import importlib.util
+import inspect
+from pathlib import Path
+
+import pytest
+
+TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def _tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+tracer = _tracer()
+
+
+@pytest.mark.parametrize("module_name, names", [
+    (module_name, names) for module_name, (_, names) in tracer.TARGETS.items()
+])
+def test_every_traced_function_exists(module_name, names):
+    module = importlib.import_module(module_name)
+    missing = [name for name in names if not inspect.isfunction(getattr(module, name, None))]
+    assert missing == []
+
+
+@pytest.mark.parametrize("module_name, class_name, method, span", tracer.METHODS)
+def test_every_traced_method_exists(module_name, class_name, method, span):
+    cls = getattr(importlib.import_module(module_name), class_name)
+    assert inspect.isfunction(getattr(cls, method, None))
