@@ -61,15 +61,6 @@ TOO_BLURRY = "TOO_BLURRY"
 
 
 @dataclass(frozen=True)
-class EmbeddingRecord:
-    """One image's identity label and embedding vector."""
-
-    image_id: ImageId
-    identity_id: str
-    vector: np.ndarray  # 1-D float32
-
-
-@dataclass(frozen=True)
 class ImageGray:
     """8-bit grayscale image, row-major. Both sides must fit a 3x3 kernel."""
 
@@ -135,10 +126,6 @@ class CorpusHandle:
 
     def identity_of(self, image_id: ImageId) -> str:
         return self.identities[self.row(image_id)]
-
-    def record(self, image_id: ImageId) -> EmbeddingRecord:
-        i = self.row(image_id)
-        return EmbeddingRecord(self.ids[i], self.identities[i], self.matrix[i])
 
     def subset(self, keep_ids) -> "CorpusHandle":
         """New handle restricted to ``keep_ids``, preserving corpus order."""

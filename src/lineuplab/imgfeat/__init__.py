@@ -8,7 +8,6 @@ Category layout (fixed order):
 from lineuplab.imgfeat.features import (
     CLASSICAL_FEATURE_COUNT,
     CLASSICAL_FEATURE_NAMES,
-    FeatureVector,
     assemble_feature_vector,
     classical_features,
     feature_csv_header,
@@ -31,7 +30,6 @@ __all__ = [
     "CLASSICAL_FEATURE_COUNT",
     "CLASSICAL_FEATURE_NAMES",
     "GEOMETRY_FEATURE_NAMES",
-    "FeatureVector",
     "Standardizer",
     "assemble_feature_vector",
     "classical_features",

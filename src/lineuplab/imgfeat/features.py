@@ -1,7 +1,8 @@
-"""Pixel-statistics features and feature-vector assembly.
+"""Pixel-statistics features, feature-row assembly and the feature CSV.
 
-Each image's shared intermediates (``ImagePlanes``) are built once and
-passed to the five category functions. The Sobel, Laplacian, box and
+``classical_features`` builds each image's shared intermediates
+(``ImagePlanes``) once and passes them to the five category functions,
+which take planes only. The Sobel, Laplacian, box and
 median kernels run in exact integer arithmetic on the 8-bit pixels, and
 everything else in float64 on the raw 0..255 intensities; every value
 equals the all-float64 computation bit for bit. Standard deviations are
@@ -10,6 +11,11 @@ entropy with 0*ln(0) taken as 0; percentiles interpolate linearly between
 order statistics. Kernel operations replicate edges and produce a value at
 every pixel. The FFT is the unnormalized forward transform with a centered
 spectrum.
+
+Feature rows have one in-memory form, the ``(ids, labels, matrix)`` triple:
+image ids, 0/1 int64 labels and a float64 matrix whose row is the embedding
+followed by the 42 classical features. ``write_feature_csv`` writes exactly
+the triple ``read_feature_csv`` returns.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from lineuplab import filters
-from lineuplab.corpus import EmbeddingRecord, ImageGray, LandmarkSet
+from lineuplab.corpus import ImageGray, LandmarkSet
 from lineuplab.errors import DataError, open_text
 from lineuplab.imgfeat.geometry import GEOMETRY_FEATURE_NAMES, geometry_features
 
@@ -57,12 +63,6 @@ assert CLASSICAL_FEATURE_COUNT == 42
 
 
 @dataclass(frozen=True)
-class FeatureVector:
-    image_id: str
-    values: np.ndarray  # embedding followed by the 42 classical features
-
-
-@dataclass(frozen=True)
 class ImagePlanes:
     """One image's intermediates, built once and shared by the categories.
 
@@ -80,10 +80,8 @@ class ImagePlanes:
     laplacian_var: float
 
 
-def image_planes(img: ImageGray | ImagePlanes) -> ImagePlanes:
-    """The planes of ``img``; planes pass through unchanged."""
-    if isinstance(img, ImagePlanes):
-        return img
+def image_planes(img: ImageGray) -> ImagePlanes:
+    """The planes of ``img``, the one input of the five category functions."""
     pixels = img.pixels
     gx, gy = filters.sobel_gradients(pixels)
     return ImagePlanes(
@@ -103,8 +101,7 @@ def _entropy(hist: np.ndarray) -> float:
     return float(-np.sum(nz * np.log(nz)))
 
 
-def lighting_features(img: ImageGray | ImagePlanes) -> np.ndarray:
-    planes = image_planes(img)
+def lighting_features(planes: ImagePlanes) -> np.ndarray:
     field = planes.field
     return np.array([
         field.mean(),
@@ -116,8 +113,7 @@ def lighting_features(img: ImageGray | ImagePlanes) -> np.ndarray:
     ])
 
 
-def quality_features(img: ImageGray | ImagePlanes) -> np.ndarray:
-    planes = image_planes(img)
+def quality_features(planes: ImagePlanes) -> np.ndarray:
     field, hist = planes.field, planes.hist
     combined = np.abs(planes.gx) + np.abs(planes.gy)
     mu = field.mean()
@@ -138,8 +134,7 @@ def quality_features(img: ImageGray | ImagePlanes) -> np.ndarray:
     ])
 
 
-def noise_features(img: ImageGray | ImagePlanes) -> np.ndarray:
-    planes = image_planes(img)
+def noise_features(planes: ImagePlanes) -> np.ndarray:
     field = planes.field
     diag = field[:-1, :-1] - field[1:, 1:]
     sigma = float(diag.std())
@@ -172,8 +167,7 @@ def _high_frequencies(h: int, w: int) -> np.ndarray:
     return high
 
 
-def sharpness_features(img: ImageGray | ImagePlanes) -> np.ndarray:
-    planes = image_planes(img)
+def sharpness_features(planes: ImagePlanes) -> np.ndarray:
     field, magnitude = planes.field, planes.magnitude
     spectrum = np.abs(np.fft.fftshift(np.fft.fft2(field)))
     return np.array([
@@ -186,8 +180,7 @@ def sharpness_features(img: ImageGray | ImagePlanes) -> np.ndarray:
     ])
 
 
-def texture_features(img: ImageGray | ImagePlanes) -> np.ndarray:
-    planes = image_planes(img)
+def texture_features(planes: ImagePlanes) -> np.ndarray:
     pixels = planes.pixels
     mean = filters.box_mean3(pixels)
     mean_sq = filters.box_mean3(np.square(pixels, dtype=np.uint16))
@@ -220,19 +213,14 @@ def sanitize(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def assemble_feature_vector(embedding: EmbeddingRecord, img: ImageGray,
-                            landmarks: LandmarkSet | None,
-                            expected_dim: int | None = None) -> FeatureVector:
-    """Embedding plus classical features, sanitized into one vector."""
-    emb = np.asarray(embedding.vector, dtype=np.float64)
-    if expected_dim is not None and emb.size != expected_dim:
-        raise DataError(
-            f"embedding for {embedding.image_id!r} has dimension {emb.size}, "
-            f"expected {expected_dim}"
-        )
-    values = sanitize(np.concatenate([emb, classical_features(img, landmarks)]))
+def assemble_feature_vector(vector: np.ndarray, img: ImageGray,
+                            landmarks: LandmarkSet | None) -> np.ndarray:
+    """Embedding ``vector`` plus classical features, sanitized into one
+    read-only row."""
+    values = sanitize(np.concatenate([np.asarray(vector, dtype=np.float64),
+                                      classical_features(img, landmarks)]))
     values.flags.writeable = False
-    return FeatureVector(image_id=embedding.image_id, values=values)
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -247,22 +235,17 @@ def feature_csv_header(embedding_dim: int) -> list[str]:
     )
 
 
-def write_feature_csv(vectors, labels, path) -> Path:
-    """``labels`` maps image_id -> integer label (1 = lineup failure)."""
+def write_feature_csv(ids, labels, matrix, path) -> Path:
+    """Write the ``(ids, labels, matrix)`` triple ``read_feature_csv``
+    returns; labels are 0/1 (1 = lineup failure)."""
     path = Path(path)
-    vectors = list(vectors)
-    if not vectors:
+    if not ids:
         raise DataError("no feature vectors to write")
-    dim = vectors[0].values.size - CLASSICAL_FEATURE_COUNT
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(feature_csv_header(dim))
-        for fv in vectors:
-            if fv.values.size != dim + CLASSICAL_FEATURE_COUNT:
-                raise DataError(f"feature vector {fv.image_id!r} has inconsistent length")
-            row = [fv.image_id, int(labels[fv.image_id])]
-            row.extend(repr(float(x)) for x in fv.values)
-            writer.writerow(row)
+        writer.writerow(feature_csv_header(matrix.shape[1] - CLASSICAL_FEATURE_COUNT))
+        for image_id, label, row in zip(ids, labels, matrix):
+            writer.writerow([image_id, int(label), *(repr(float(x)) for x in row)])
     return path
 
 

@@ -32,7 +32,12 @@ CHANGE_RANGE = range(-5, 6)
 
 
 class NoEligibleSources(DataError):
-    """No source in the requested set could form a lineup."""
+    """No source in the requested set could form a lineup. ``skipped`` holds
+    each source's reason, as ``AccuracyReport.skipped`` does."""
+
+    def __init__(self, skipped: tuple[tuple[ImageId, str], ...]):
+        super().__init__("no source was eligible for a lineup")
+        self.skipped = skipped
 
 
 @dataclass(frozen=True)
@@ -269,15 +274,15 @@ def evaluate_corpus(corpus: CorpusHandle, index: SearchIndex, sources, seed: int
     ordered = sorted(sources)
     built = _build_lineups(index, corpus, ordered, seed, distinct_filler_identities)
     lineups = [lu for lu in built if isinstance(lu, Lineup)]
+    skipped = tuple((source, str(lu)) for source, lu in zip(ordered, built)
+                    if isinstance(lu, DataError))
     if not lineups:
-        raise NoEligibleSources("no source was eligible for a lineup")
+        raise NoEligibleSources(skipped)
     results = tuple(
         LineupResult(lineup=lu, probe_rank=rank, success=rank == 0)
         for lu, rank in zip(lineups, _probe_ranks(lineups, corpus, corpus))
     )
     accuracy = sum(r.success for r in results) / len(results)
-    skipped = tuple((source, str(lu)) for source, lu in zip(ordered, built)
-                    if isinstance(lu, DataError))
     return AccuracyReport(accuracy=accuracy, results=results, skipped=skipped)
 
 

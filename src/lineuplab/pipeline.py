@@ -33,8 +33,12 @@ from lineuplab.failpred.ensemble import (
     train_ensemble,
 )
 from lineuplab.failpred.model_io import load_model, save_model, save_training_report
-from lineuplab.imgfeat import assemble_feature_vector, read_feature_csv, write_feature_csv
-from lineuplab.imgfeat.features import FeatureVector
+from lineuplab.imgfeat import (
+    CLASSICAL_FEATURE_COUNT,
+    assemble_feature_vector,
+    read_feature_csv,
+    write_feature_csv,
+)
 from lineuplab.lineup import (
     AccuracyReport,
     Lineup,
@@ -345,7 +349,8 @@ def run_evaluate(config: PipelineConfig) -> AccuracyReport | None:
     """Lineups, per-lineup results, and an accuracy summary for one corpus.
 
     Returns None when no source is eligible; the (empty) artifacts are still
-    written and the summary states that explicitly rather than failing.
+    written and the summary states that explicitly, with each source's skip
+    reason, rather than failing.
     """
     handle = _corpus(config)
     index = simindex.build_index(handle)
@@ -354,15 +359,14 @@ def run_evaluate(config: PipelineConfig) -> AccuracyReport | None:
             handle, index, handle.ids, config.lineup_seed,
             distinct_filler_identities=config.distinct_fillers,
         )
-    except NoEligibleSources:
-        report, results = None, []
-        summary = {"accuracy": None, "skipped": [], "message": "no eligible sources"}
+    except NoEligibleSources as exc:
+        report, results, skipped = None, [], exc.skipped
+        summary = {"accuracy": None, "message": "no eligible sources"}
     else:
-        results = report.results
-        summary = {"accuracy": report.accuracy,
-                   "skipped": [[sid, reason] for sid, reason in report.skipped]}
-    summary.update(lineups=len(results), successes=sum(r.success for r in results),
-                   sources_total=handle.count)
+        results, skipped = report.results, report.skipped
+        summary = {"accuracy": report.accuracy}
+    summary.update(skipped=[[sid, reason] for sid, reason in skipped], lineups=len(results),
+                   successes=sum(r.success for r in results), sources_total=handle.count)
     with _OutputGuard() as guard:
         write_lineup_manifest([r.lineup for r in results], guard.track(config.out(MANIFEST_FILE)))
         write_results_csv(results, guard.track(config.out(RESULTS_FILE)))
@@ -374,21 +378,24 @@ def run_evaluate(config: PipelineConfig) -> AccuracyReport | None:
 # Features
 
 
-def extract_features(config: PipelineConfig, handle, landmarks, items) -> list[FeatureVector]:
-    """items: list of (key, target image id). Output preserves item order
-    regardless of the parallelism degree."""
+def extract_features(config: PipelineConfig, handle, landmarks, targets) -> np.ndarray:
+    """One feature row per target image id, in target order, whatever the
+    parallelism degree: the (len(targets), dim + 42) float64 matrix."""
     images_dir = _require(config, "paths.images")
+    matrix = np.empty((len(targets), handle.dim + CLASSICAL_FEATURE_COUNT))
 
-    def one(item) -> FeatureVector:
-        key, target = item
+    def fill(i: int) -> None:
+        target = targets[i]
         img = corpus_mod.load_grayscale_image(corpus_mod.image_path(images_dir, target))
-        fv = assemble_feature_vector(handle.record(target), img, landmarks.get(target))
-        return FeatureVector(image_id=key, values=fv.values)
+        matrix[i] = assemble_feature_vector(handle.vector(target), img, landmarks.get(target))
 
     if config.parallelism > 1:
         with ThreadPoolExecutor(max_workers=config.parallelism) as pool:
-            return list(pool.map(one, items))
-    return [one(item) for item in items]
+            list(pool.map(fill, range(len(targets))))
+    else:
+        for i in range(len(targets)):
+            fill(i)
+    return matrix
 
 
 def run_features(config: PipelineConfig) -> Path:
@@ -402,34 +409,30 @@ def run_features(config: PipelineConfig) -> Path:
 
 
 def _write_features(config: PipelineConfig):
-    """``run_features``'s path and the rows it wrote, as ``read_feature_csv``
-    would return them: the CSV holds ``repr`` of finite values, so parsing
-    it gives the same bits."""
+    """``run_features``'s path and the ``(ids, labels, matrix)`` triple it
+    wrote, which is what ``read_feature_csv`` returns for the file: the CSV
+    holds ``repr`` of finite values, so parsing it gives the same bits."""
     handle = _corpus(config)
     landmarks = ingest_landmarks(_require(config, "paths.landmarks"))
     manifest_path = config.out(MANIFEST_FILE)
     results_path = config.out(RESULTS_FILE)
-    labels: dict[str, int] = {}
+    failed: set[str] = set()
     if manifest_path.is_file():
         lineups = read_lineup_manifest(manifest_path)
-        items = [
-            (lu.source, lu.source if config.target == "source" else lu.probe)
-            for lu in lineups
-        ]
+        ids = [lu.source for lu in lineups]
+        targets = ids if config.target == "source" else [lu.probe for lu in lineups]
         if results_path.is_file():
             by_source = {lu.source: lu for lu in lineups}
-            for result in read_results_csv(results_path, by_source):
-                labels[result.lineup.source] = 0 if result.success else 1
+            failed = {r.lineup.source for r in read_results_csv(results_path, by_source)
+                      if not r.success}
     else:
-        items = [(image_id, image_id) for image_id in sorted(handle.ids)]
-    vectors = extract_features(config, handle, landmarks, items)
-    full_labels = {fv.image_id: labels.get(fv.image_id, 0) for fv in vectors}
+        ids = targets = sorted(handle.ids)
+    labels = np.array([int(i in failed) for i in ids], dtype=np.int64)
+    matrix = extract_features(config, handle, landmarks, targets)
     path = config.out(FEATURES_FILE)
     with _OutputGuard() as guard:
-        write_feature_csv(vectors, full_labels, guard.track(path))
-    ids = [fv.image_id for fv in vectors]
-    return path, (ids, np.array([full_labels[i] for i in ids], dtype=np.int64),
-                  np.array([fv.values for fv in vectors], dtype=np.float64))
+        write_feature_csv(ids, labels, matrix, guard.track(path))
+    return path, (ids, labels, matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -614,6 +617,9 @@ def _rerank(config: PipelineConfig, results, hook: bool = False) -> ComparisonBu
     restored corpus, and the hook status is committed with the reports."""
     original = _corpus(config)
     restored = _corpus(config, "paths.embeddings_restored")
+    if restored.dim != original.dim:
+        raise DataError(f"{config.embeddings_restored}: restored embeddings have dimension "
+                        f"{restored.dim}, the original corpus {original.dim}")
     records = None
     if hook and config.hook_command:
         records = run_hook(config, [m for r in results for m in r.lineup.members])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
-from lineuplab.corpus import EmbeddingRecord, ImageGray, LandmarkSet
+from lineuplab.corpus import ImageGray, LandmarkSet
 from lineuplab.errors import DataError
 from lineuplab.imgfeat import (
     CLASSICAL_FEATURE_NAMES,
@@ -23,13 +23,17 @@ from lineuplab.imgfeat import (
     write_feature_csv,
 )
 from lineuplab.imgfeat import features as features_mod
-from lineuplab.imgfeat.features import FeatureVector, sanitize
+from lineuplab.imgfeat.features import image_planes, sanitize
 from lineuplab.imgfeat.geometry import SYMMETRY_PAIRS, eye_aspect_ratio, mouth_aspect_ratio
 
 
 def gray(px):
     px = np.asarray(px, dtype=np.uint8)
     return ImageGray(px.shape[1], px.shape[0], px)
+
+
+def planes(px):
+    return image_planes(gray(px))
 
 
 def rand_image(rng, h=32, w=32):
@@ -50,33 +54,33 @@ def test_feature_name_layout():
 
 
 def test_lighting_constant_image():
-    values = lighting_features(gray(np.full((8, 8), 128)))
+    values = lighting_features(planes(np.full((8, 8), 128)))
     assert values.tolist() == [128.0, 0.0, 0.0, 0.0, 0.0, 0.0]
 
 
 def test_lighting_threshold_semantics():
-    dark = lighting_features(gray(np.full((8, 8), 10)))
+    dark = lighting_features(planes(np.full((8, 8), 10)))
     assert dark[3] == 1.0 and dark[4] == 0.0
     # Thresholds are strict inequalities.
-    at_dark = lighting_features(gray(np.full((8, 8), 50)))
+    at_dark = lighting_features(planes(np.full((8, 8), 50)))
     assert at_dark[3] == 0.0
-    at_bright = lighting_features(gray(np.full((8, 8), 200)))
+    at_bright = lighting_features(planes(np.full((8, 8), 200)))
     assert at_bright[4] == 0.0
 
 
 def test_quality_constant_image():
-    assert quality_features(gray(np.full((8, 8), 128))).tolist() == [0.0] * 7
+    assert quality_features(planes(np.full((8, 8), 128))).tolist() == [0.0] * 7
 
 
 def test_michelson_extremes():
     half = np.zeros((8, 8), dtype=np.uint8)
     half[:, 4:] = 255
-    assert quality_features(gray(half))[4] == 1.0
-    assert quality_features(gray(np.zeros((8, 8), dtype=np.uint8)))[4] == 0.0
+    assert quality_features(planes(half))[4] == 1.0
+    assert quality_features(planes(np.zeros((8, 8), dtype=np.uint8)))[4] == 0.0
 
 
 def test_noise_constant_image():
-    assert noise_features(gray(np.full((8, 8), 90))).tolist() == [0.0, 1e6, 0.0, 0.0, 0.0]
+    assert noise_features(planes(np.full((8, 8), 90))).tolist() == [0.0, 1e6, 0.0, 0.0, 0.0]
 
 
 def test_noise_checkerboard_diagonal_blindspot():
@@ -84,20 +88,20 @@ def test_noise_checkerboard_diagonal_blindspot():
     # the SNR clip rule fires even though the image is far from constant.
     idx = np.indices((8, 8)).sum(axis=0)
     board = np.where(idx % 2 == 0, 0, 255).astype(np.uint8)
-    values = noise_features(gray(board))
+    values = noise_features(planes(board))
     assert values[0] == 0.0
     assert values[1] == 1e6
 
 
 def test_noise_all_zero_image():
-    values = noise_features(gray(np.zeros((8, 8), dtype=np.uint8)))
+    values = noise_features(planes(np.zeros((8, 8), dtype=np.uint8)))
     assert values[0] == 0.0
     assert values[1] == 1e6  # sigma rule precedes the zero-signal rule
     assert values[2] == 0.0
 
 
 def test_sharpness_constant_image():
-    values = sharpness_features(gray(np.full((8, 8), 60)))
+    values = sharpness_features(planes(np.full((8, 8), 60)))
     # Gradient stats, Laplacian variance, and high-frequency energy vanish.
     # Mean log-magnitude does not: the DC bin still holds the image sum.
     assert [values[i] for i in (0, 1, 2, 3, 5)] == [0.0] * 5
@@ -107,34 +111,34 @@ def test_sharpness_constant_image():
 def test_sharpness_impulse_matches_dft_oracle():
     px = np.zeros((8, 8), dtype=np.uint8)
     px[3, 5] = 255
-    got = sharpness_features(gray(px))
+    got = sharpness_features(planes(px))
     want = oracles.oracle_sharpness(px)
     assert np.allclose(got, want, rtol=1e-9)
 
 
 def test_texture_constant_image():
-    assert texture_features(gray(np.full((8, 8), 128))).tolist() == [0.0, 0.0]
+    assert texture_features(planes(np.full((8, 8), 128))).tolist() == [0.0, 0.0]
 
 
 def test_texture_step_edge_density():
     px = np.zeros((16, 16), dtype=np.uint8)
     px[:, 8:] = 255
-    got = texture_features(gray(px))
+    got = texture_features(planes(px))
     want = oracles.oracle_texture(px)
     assert got[1] == want[1]
     assert got[1] > 0.0
 
 
 def test_redundant_sharpness_equals_laplacian_variance(rng):
-    img = rand_image(rng)
-    values = sharpness_features(img)
+    p = image_planes(rand_image(rng))
+    values = sharpness_features(p)
     assert values[2] == values[5]
-    assert values[2] == lighting_features(img)[5]
+    assert values[2] == lighting_features(p)[5]
 
 
 def test_entropy_duplicated_between_categories(rng):
-    img = rand_image(rng)
-    assert lighting_features(img)[2] == quality_features(img)[3]
+    p = image_planes(rand_image(rng))
+    assert lighting_features(p)[2] == quality_features(p)[3]
 
 
 # ---------------------------------------------------------------------------
@@ -145,17 +149,16 @@ def test_entropy_duplicated_between_categories(rng):
 def test_category_oracles_on_random_images(rng):
     for _ in range(5):
         px = rng.integers(0, 256, size=(16, 16), dtype=np.uint8)
-        assert np.allclose(lighting_features(gray(px)), oracles.oracle_lighting(px), rtol=1e-6)
-        assert np.allclose(quality_features(gray(px)), oracles.oracle_quality(px), rtol=1e-6)
-        assert np.allclose(noise_features(gray(px)), oracles.oracle_noise(px), rtol=1e-6)
-        assert np.allclose(sharpness_features(gray(px)), oracles.oracle_sharpness(px), rtol=1e-5)
-        assert np.allclose(texture_features(gray(px)), oracles.oracle_texture(px), rtol=1e-6)
+        assert np.allclose(lighting_features(planes(px)), oracles.oracle_lighting(px), rtol=1e-6)
+        assert np.allclose(quality_features(planes(px)), oracles.oracle_quality(px), rtol=1e-6)
+        assert np.allclose(noise_features(planes(px)), oracles.oracle_noise(px), rtol=1e-6)
+        assert np.allclose(sharpness_features(planes(px)), oracles.oracle_sharpness(px), rtol=1e-5)
+        assert np.allclose(texture_features(planes(px)), oracles.oracle_texture(px), rtol=1e-6)
 
 
 def test_entropy_bounds(rng):
     for _ in range(5):
-        img = rand_image(rng, 8, 8)
-        entropy = lighting_features(img)[2]
+        entropy = lighting_features(image_planes(rand_image(rng, 8, 8)))[2]
         assert 0.0 <= entropy <= math.log(256)
 
 
@@ -251,16 +254,13 @@ def test_symmetry_of_mirror_layout():
 
 def test_assemble_layout_and_dimension_check(rng):
     img = rand_image(rng)
-    emb = EmbeddingRecord("a", "p", rng.normal(size=16).astype(np.float32))
-    fv = assemble_feature_vector(emb, img, None)
-    assert fv.image_id == "a"
-    assert fv.values.shape == (16 + 42,)
-    assert np.isfinite(fv.values).all()
-    assert not fv.values.flags.writeable
+    vector = rng.normal(size=16).astype(np.float32)
+    values = assemble_feature_vector(vector, img, None)
+    assert values.shape == (16 + 42,)
+    assert np.isfinite(values).all()
+    assert not values.flags.writeable
     # Embedding occupies the head of the vector.
-    assert np.allclose(fv.values[:16], emb.vector.astype(np.float64))
-    with pytest.raises(DataError, match="dimension"):
-        assemble_feature_vector(emb, img, None, expected_dim=32)
+    assert np.allclose(values[:16], vector.astype(np.float64))
 
 
 def test_sanitize_rules():
@@ -270,13 +270,12 @@ def test_sanitize_rules():
 
 def test_feature_csv_round_trip(tmp_path, rng):
     img = rand_image(rng)
-    vectors = []
-    labels = {}
-    for i in range(4):
-        emb = EmbeddingRecord(f"id{i}", "p", rng.normal(size=8).astype(np.float32))
-        vectors.append(assemble_feature_vector(emb, img, None))
-        labels[f"id{i}"] = i % 2
-    path = write_feature_csv(vectors, labels, tmp_path / "f.csv")
+    rows = np.stack([
+        assemble_feature_vector(rng.normal(size=8).astype(np.float32), img, None)
+        for _ in range(4)
+    ])
+    path = write_feature_csv([f"id{i}" for i in range(4)], [i % 2 for i in range(4)], rows,
+                             tmp_path / "f.csv")
     header = path.read_text().splitlines()[0].split(",")
     assert header == feature_csv_header(8)
     assert header[:2] == ["image_id", "label"]
@@ -284,8 +283,7 @@ def test_feature_csv_round_trip(tmp_path, rng):
     ids, got_labels, matrix = read_feature_csv(path)
     assert list(ids) == [f"id{i}" for i in range(4)]
     assert got_labels.tolist() == [0, 1, 0, 1]
-    for i, fv in enumerate(vectors):
-        assert np.array_equal(matrix[i], fv.values)  # repr round-trip is exact
+    assert np.array_equal(matrix, rows)  # repr round-trip is exact
 
 
 HEADER = "image_id,label,a,b\n"
@@ -372,11 +370,10 @@ def test_feature_csv_round_trip_is_bitwise_for_random_doubles(tmp_path, rng, mon
     values = bits.view(np.float64)
     values = values[np.isfinite(values)][:2_000 * 50].reshape(2_000, 50)
     values[0, :4] = [0.0, -0.0, 5e-324, -1.7976931348623157e308]
-    vectors = [FeatureVector(f"id{i}", row) for i, row in enumerate(values)]
-    path = write_feature_csv(vectors, {fv.image_id: i % 2 for i, fv in enumerate(vectors)},
-                             tmp_path / "f.csv")
+    want_ids = [f"id{i}" for i in range(2_000)]
+    path = write_feature_csv(want_ids, np.arange(2_000) % 2, values, tmp_path / "f.csv")
     ids, labels, matrix = read_feature_csv(path)
-    assert ids == [fv.image_id for fv in vectors]
+    assert ids == want_ids
     assert labels.tolist() == [i % 2 for i in range(2_000)]
     assert np.array_equal(matrix.view(np.int64), values.view(np.int64))
     assert np.array_equal(oracles.read_feature_csv(path)[2].view(np.int64), values.view(np.int64))
@@ -410,13 +407,11 @@ def test_standardizer_self_consistency(rng):
 def test_standardizer_on_feature_vectors(rng):
     img = rand_image(rng)
     vectors = [
-        assemble_feature_vector(
-            EmbeddingRecord(f"v{i}", "p", rng.normal(size=4).astype(np.float32)), img, None
-        )
-        for i in range(6)
+        assemble_feature_vector(rng.normal(size=4).astype(np.float32), img, None)
+        for _ in range(6)
     ]
-    s = fit_standardizer(np.stack([v.values for v in vectors]))
-    assert s.dim == vectors[0].values.size
+    s = fit_standardizer(np.stack(vectors))
+    assert s.dim == vectors[0].size
 
 
 def test_standardizer_empty_raises():

@@ -2,6 +2,7 @@
 the full command chain on a small synthetic workspace."""
 
 import csv
+import hashlib
 import json
 import shutil
 from dataclasses import replace
@@ -22,7 +23,7 @@ from lineuplab.corpus import (
 )
 from lineuplab.errors import ConfigError, DataError
 from lineuplab.failpred.model_io import load_model
-from lineuplab.imgfeat import FeatureVector, read_feature_csv, write_feature_csv
+from lineuplab.imgfeat import read_feature_csv, write_feature_csv
 from lineuplab.lineup import OutcomeTable, read_lineup_manifest, read_results_csv
 from lineuplab.pipeline import (
     COMPARISON_FILE,
@@ -465,14 +466,13 @@ def test_features_parallel_matches_serial(workspace):
     config = load_config(workspace.config)
     handle = ingest_embeddings(workspace.original)
     landmarks = ingest_landmarks(workspace.root / "landmarks.jsonl")
-    items = [(i, i) for i in sorted(handle.ids)[:8]]
-    serial = pipeline.extract_features(config, handle, landmarks, items)
+    targets = sorted(handle.ids)[:8]
+    serial = pipeline.extract_features(config, handle, landmarks, targets)
     threaded = pipeline.extract_features(
-        replace(config, parallelism=3), handle, landmarks, items
+        replace(config, parallelism=3), handle, landmarks, targets
     )
-    assert [fv.image_id for fv in serial] == [fv.image_id for fv in threaded]
-    for a, b in zip(serial, threaded):
-        assert np.array_equal(a.values, b.values)
+    assert serial.shape == (8, DIM + 42)
+    assert np.array_equal(serial, threaded)
 
 
 def test_features_probe_target_mode(workspace, chain, tmp_path):
@@ -486,6 +486,32 @@ def test_features_probe_target_mode(workspace, chain, tmp_path):
     ids_source, _, matrix_source = read_feature_csv(chain.out / FEATURES_FILE)
     assert list(ids_probe) == list(ids_source)  # still keyed by source
     assert not np.array_equal(matrix_probe, matrix_source)
+
+
+# sha256 of the features.csv that ``run_features`` writes on the workspace,
+# recorded before feature rows became one (ids, labels, matrix) triple.
+FEATURES_CSV_DIGESTS = {
+    "source": "7add2d45cf629b7f40388a1d2e84683ca53104ebc3db6dc0bef19db381c1b634",
+    "probe": "9ab5ce955566f1ff4dcc1cbe88dab596b6c508864300a8358dea8ab0f86af180",
+    "per_image": "238d568aaaceac0112056057b73ee0d7ea70845a2c93934f3d9444b97039c09f",
+}
+
+
+@pytest.mark.parametrize("mode", sorted(FEATURES_CSV_DIGESTS))
+def test_features_csv_bytes_are_pinned(workspace, chain, tmp_path, mode):
+    out = tmp_path / "out"
+    out.mkdir()
+    if mode != "per_image":
+        for name in (MANIFEST_FILE, RESULTS_FILE):
+            shutil.copy(chain.out / name, out / name)
+    config = replace(load_config(workspace.config), output=str(out),
+                     target="probe" if mode == "probe" else "source")
+    path = pipeline.run_features(config)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == FEATURES_CSV_DIGESTS[mode]
+    # what read_feature_csv returns, written back, is the same file
+    again = tmp_path / "again.csv"
+    write_feature_csv(*read_feature_csv(path), again)
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_train_artifacts(chain):
@@ -519,8 +545,7 @@ def test_predictions_csv(chain):
 def test_predictions_csv_quotes_ids(chain, tmp_path):
     ids, labels, matrix = read_feature_csv(chain.out / FEATURES_FILE)
     ids[0] = 'a,"b'
-    write_feature_csv([FeatureVector(i, row) for i, row in zip(ids, matrix)],
-                      dict(zip(ids, labels)), tmp_path / FEATURES_FILE)
+    write_feature_csv(ids, labels, matrix, tmp_path / FEATURES_FILE)
     config = PipelineConfig(output=str(tmp_path), model=str(chain.out / MODEL_FILE))
     pipeline.run_predict(config)
     with open(tmp_path / PREDICTIONS_FILE, newline="") as fh:
@@ -695,8 +720,7 @@ def test_restore_rejects_stale_features(chain, tmp_path, capsys, stale):
     else:
         ids, labels, matrix = read_feature_csv(out / FEATURES_FILE)
         labels[0] = 1 - labels[0]
-        write_feature_csv([FeatureVector(i, row) for i, row in zip(ids, matrix)],
-                          dict(zip(ids, labels)), out / FEATURES_FILE)
+        write_feature_csv(ids, labels, matrix, out / FEATURES_FILE)
     capsys.readouterr()
     assert cli.main([*args, "--hook.command",
                      f"sh {chain.ws.ok_hook} {{input}} {{output}}"]) == 2
@@ -723,12 +747,45 @@ def test_no_eligible_sources_writes_empty_report(tmp_path, capsys):
     ])
     assert code == 0
     assert "no eligible sources" in capsys.readouterr().out
+    # every source was skipped, and the summary says why
     assert (out / SUMMARY_FILE).read_bytes() == (
         b'{\n  "accuracy": null,\n  "lineups": 0,\n  "message": "no eligible sources",\n'
-        b'  "skipped": [],\n  "sources_total": 6,\n  "successes": 0\n}\n'
+        b'  "skipped": [\n'
+        b'    [\n      "t0_0",\n'
+        b'      "source \'t0_0\': only 3 images outside identity \'t0\', need 5 fillers"\n'
+        b'    ],\n'
+        b'    [\n      "t0_1",\n'
+        b'      "source \'t0_1\': only 3 images outside identity \'t0\', need 5 fillers"\n'
+        b'    ],\n'
+        b'    [\n      "t0_2",\n'
+        b'      "source \'t0_2\': only 3 images outside identity \'t0\', need 5 fillers"\n'
+        b'    ],\n'
+        b'    [\n      "t1_0",\n'
+        b'      "source \'t1_0\': only 3 images outside identity \'t1\', need 5 fillers"\n'
+        b'    ],\n'
+        b'    [\n      "t1_1",\n'
+        b'      "source \'t1_1\': only 3 images outside identity \'t1\', need 5 fillers"\n'
+        b'    ],\n'
+        b'    [\n      "t1_2",\n'
+        b'      "source \'t1_2\': only 3 images outside identity \'t1\', need 5 fillers"\n'
+        b'    ]\n'
+        b'  ],\n  "sources_total": 6,\n  "successes": 0\n}\n'
     )
     assert (out / RESULTS_FILE).read_bytes() == b"source_id,probe_rank,success\n"
     assert (out / MANIFEST_FILE).read_bytes() == b""
+    # an empty manifest leaves no feature rows to write
+    (tmp_path / "images").mkdir()
+    (tmp_path / "landmarks.jsonl").write_text("")
+    code = cli.main([
+        "features",
+        "--paths.embeddings_original", str(corpus),
+        "--paths.images", str(tmp_path / "images"),
+        "--paths.landmarks", str(tmp_path / "landmarks.jsonl"),
+        "--paths.output", str(out),
+    ])
+    assert code == 2
+    assert "no feature vectors to write" in capsys.readouterr().err
+    assert not (out / FEATURES_FILE).exists()
 
 
 # ---------------------------------------------------------------------------
@@ -888,3 +945,42 @@ def test_readers_reject_undecodable_bytes(tmp_path, read, error):
     path.write_bytes(b'{"image_id": "\xff\xfe"}\n')
     with pytest.raises(error, match=r"input\.txt: not UTF-8"):
         read(path)
+
+
+# ---------------------------------------------------------------------------
+# A restored corpus of another dimension
+
+
+def _short_restored(chain, tmp_path) -> Path:
+    """The workspace's restored corpus with two dimensions dropped."""
+    path = tmp_path / "short.jsonl"
+    rows = [json.loads(line) for line in chain.ws.restored.read_text().splitlines()]
+    path.write_text("".join(json.dumps({**r, "vector": r["vector"][:-2]}) + "\n" for r in rows))
+    return path
+
+
+def test_compare_rejects_restored_corpus_of_another_dimension(chain, tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    for name in (MANIFEST_FILE, RESULTS_FILE):
+        shutil.copy(chain.out / name, out / name)
+    code = cli.main(["compare", "--config", str(chain.ws.config), "--paths.output", str(out),
+                     "--paths.embeddings_restored", str(_short_restored(chain, tmp_path))])
+    assert code == 2
+    assert f"dimension {DIM - 2}, the original corpus {DIM}" in capsys.readouterr().err
+    assert not (out / COMPARISON_FILE).exists()
+
+
+def test_restore_rejects_restored_corpus_of_another_dimension(chain, tmp_path, capsys):
+    out = tmp_path / "out"
+    args = _restore_args(chain, out)
+    marker = tmp_path / "hook_ran"
+    hook = tmp_path / "marking_hook.sh"
+    hook.write_text(f'#!/bin/sh\ntouch "{marker}"\ncp "$1" "$2"\n')
+    code = cli.main([*args, "--hook.command", f"sh {hook} {{input}} {{output}}",
+                     "--paths.embeddings_restored", str(_short_restored(chain, tmp_path))])
+    assert code == 2
+    assert f"dimension {DIM - 2}, the original corpus {DIM}" in capsys.readouterr().err
+    assert not marker.exists()
+    assert not (out / COMPARISON_FILE).exists()
+    assert not (out / HOOK_STATUS_FILE).exists()

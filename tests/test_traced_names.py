@@ -13,7 +13,11 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from lineuplab.corpus import ImageGray
+from lineuplab.imgfeat.features import image_planes
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -41,3 +45,12 @@ def test_every_traced_function_exists(module_name, names):
 def test_every_traced_method_exists(module_name, class_name, method, span):
     cls = getattr(importlib.import_module(module_name), class_name)
     assert inspect.isfunction(getattr(cls, method, None))
+
+
+@pytest.mark.parametrize("category", ["lighting", "quality", "noise", "sharpness", "texture"])
+def test_category_span_attribute_reads_the_planes_width(category):
+    """The tracer reads ``px`` from the argument ``classical_features``
+    passes each category function; nothing else reads ``ImagePlanes.width``."""
+    img = ImageGray(5, 3, np.zeros((3, 5), dtype=np.uint8))
+    attributes = tracer.ATTRIBUTES[f"imgfeat.{category}_features"]
+    assert attributes((image_planes(img),), {}, None) == {"px": img.width}
