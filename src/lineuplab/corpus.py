@@ -19,8 +19,9 @@ little-endian floats.
 
     format  header                   vectors
     LNUP    <IQ  dim, count          float32 (<f4)
-    LNUI    <IQB dim, count, flags   float64 (<f8); flags bit 0 marks the
-                                     vectors as already unit-normalized
+    LNUI    <IQB dim, count, flags   float64 (<f8); flags is 1: the
+                                     vectors are unit-normalized. No other
+                                     value loads.
 
 Round-trips are bit-exact.
 
@@ -170,7 +171,7 @@ def _validate_block(ids, matrix: np.ndarray, label) -> None:
         raise DataError(f"{label(n)}: record {ids[n]!r} has non-finite components")
 
 
-def ingest_embeddings(path, expected_dim: int | None = None) -> CorpusHandle:
+def ingest_embeddings(path) -> CorpusHandle:
     """Load an embedding corpus from JSONL or the LNUP binary container.
 
     The format is sniffed from the magic bytes. Duplicate image ids,
@@ -185,10 +186,6 @@ def ingest_embeddings(path, expected_dim: int | None = None) -> CorpusHandle:
         _, ids, identities, matrix = read_container(path, BINARY_MAGIC, _HEADER, "<f4")
     else:
         ids, identities, matrix = _read_jsonl(path)
-    if expected_dim is not None and matrix.shape[1] != expected_dim:
-        raise DataError(
-            f"{path}: corpus dimension {matrix.shape[1]} != expected {expected_dim}"
-        )
     return _make_handle(ids, identities, matrix, str(path))
 
 
@@ -463,7 +460,7 @@ class CurationReport:
 
 
 def curate(corpus: CorpusHandle, landmarks: LandmarkTable, images_dir,
-           rules: CurationConfig | None = None) -> CurationReport:
+           rules: CurationConfig) -> CurationReport:
     """Apply mechanical curation rules and return survivors plus removals.
 
     Each removed image carries exactly one reason code, checked in order:
@@ -471,7 +468,6 @@ def curate(corpus: CorpusHandle, landmarks: LandmarkTable, images_dir,
     TOO_BRIGHT, TOO_BLURRY. Curation is idempotent: re-curating the
     survivors removes nothing.
     """
-    rules = rules or CurationConfig()
     images_dir = Path(images_dir)
     removed: list[tuple[ImageId, str]] = []
     kept: list[ImageId] = []

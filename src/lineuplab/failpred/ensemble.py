@@ -42,7 +42,6 @@ class LabeledDataset:
     ids: tuple[str, ...]
     matrix: np.ndarray        # (n, d) float64
     labels: np.ndarray        # (n,) int8
-    tag: str = "train"        # train | val | test
 
     def __post_init__(self):
         if self.matrix.shape[0] != self.labels.shape[0] or len(self.ids) != self.labels.shape[0]:
@@ -52,24 +51,23 @@ class LabeledDataset:
     def size(self) -> int:
         return int(self.labels.shape[0])
 
-    def take(self, rows, tag: str | None = None) -> "LabeledDataset":
+    def take(self, rows) -> "LabeledDataset":
         rows = np.asarray(rows)
         return LabeledDataset(
             ids=tuple(self.ids[i] for i in rows),
             matrix=self.matrix[rows],
             labels=self.labels[rows],
-            tag=tag or self.tag,
         )
 
 
-def dataset_from_arrays(matrix, labels, ids=None, tag="train") -> LabeledDataset:
+def dataset_from_arrays(matrix, labels, ids=None) -> LabeledDataset:
     matrix = np.asarray(matrix, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int8)
     if matrix.ndim != 2:
         raise DataError("feature matrix must be 2-D")
     if ids is None:
         ids = tuple(str(i) for i in range(matrix.shape[0]))
-    return LabeledDataset(ids=tuple(ids), matrix=matrix, labels=labels, tag=tag)
+    return LabeledDataset(ids=tuple(ids), matrix=matrix, labels=labels)
 
 
 # ---------------------------------------------------------------------------
@@ -107,12 +105,7 @@ def stratified_split(data: LabeledDataset, fractions=SPLIT_FRACTIONS, seed: int 
         for part, count in zip(parts, counts):
             part.append(rows[start : start + count])
             start += count
-    tags = ("train", "val", "test")
-    out = []
-    for part, tag in zip(parts, tags):
-        rows = np.sort(np.concatenate(part))
-        out.append(data.take(rows, tag=tag))
-    return tuple(out)
+    return tuple(data.take(np.sort(np.concatenate(part))) for part in parts)
 
 
 @dataclass(frozen=True)
@@ -316,7 +309,7 @@ def train_ensemble(train: LabeledDataset, val: LabeledDataset,
                    config: EnsembleConfig) -> EnsembleModel:
     standardizer = fit_standardizer(train.matrix)
     Xtr = standardizer.transform(train.matrix)
-    train_std = LabeledDataset(train.ids, Xtr, train.labels, train.tag)
+    train_std = LabeledDataset(train.ids, Xtr, train.labels)
     cohorts = []
     for cohort in (config.precision, config.recall):
         if len(cohort) != 10:
@@ -334,7 +327,7 @@ def train_ensemble(train: LabeledDataset, val: LabeledDataset,
         threshold=float(THRESHOLD_GRID[0]),
         seed=config.seed,
     )
-    threshold, grid_scores = optimize_threshold(model, val, return_scores=True)
+    threshold, grid_scores = optimize_threshold(model, val)
     return replace(model, threshold=threshold, grid_scores=grid_scores)
 
 
@@ -377,9 +370,9 @@ def threshold_score(m: Metrics) -> float:
     return m.f1 - 1.0
 
 
-def optimize_threshold(model: EnsembleModel, val: LabeledDataset,
-                       return_scores: bool = False):
-    """Best grid threshold on validation data; ties go to the lowest value."""
+def optimize_threshold(model: EnsembleModel, val: LabeledDataset):
+    """Best grid threshold on validation data, ties to the lowest value, and
+    the ``(threshold, score)`` pair of every grid point."""
     if val.size == 0:
         raise DataError("threshold optimization needs a non-empty validation set")
     proba = model.predict_proba(val.matrix)
@@ -395,9 +388,7 @@ def optimize_threshold(model: EnsembleModel, val: LabeledDataset,
         raise AssertionError("recall increased along the ascending threshold grid")
     best = int(np.argmax(scores))  # first maximum = lowest threshold
     threshold = float(THRESHOLD_GRID[best])
-    if return_scores:
-        return threshold, tuple(zip(map(float, THRESHOLD_GRID), map(float, scores)))
-    return threshold
+    return threshold, tuple(zip(map(float, THRESHOLD_GRID), map(float, scores)))
 
 
 def evaluate_classifier(model: EnsembleModel, test: LabeledDataset) -> Metrics:
@@ -425,15 +416,13 @@ def _cov(values) -> float:
     return float(values.std() / mean)
 
 
-def cross_validate(config: EnsembleConfig | None, data: LabeledDataset,
+def cross_validate(config: EnsembleConfig, data: LabeledDataset,
                    folds: int = 5, seed: int = 0) -> StabilityReport:
     """Stratified k-fold stability check.
 
     Each fold's training portion donates a deterministic 10% validation
     carve-out for threshold tuning; metrics come from the held-out fold.
     """
-    if config is None:
-        config = EnsembleConfig.default(seed)
     rng = np.random.default_rng(seed)
     fold_rows: list[list[np.ndarray]] = [[] for _ in range(folds)]
     for cls in (0, 1):
@@ -449,10 +438,10 @@ def cross_validate(config: EnsembleConfig | None, data: LabeledDataset,
         train_rows = np.sort(np.concatenate(
             [fold_indices[i] for i in range(folds) if i != held]
         ))
-        fit_part = data.take(train_rows, tag="train")
+        fit_part = data.take(train_rows)
         inner_train, inner_val = _carve_validation(fit_part, rng_seed=seed + held + 1)
         model = train_ensemble(inner_train, inner_val, config=config)
-        metrics.append(evaluate_classifier(model, data.take(fold_indices[held], tag="test")))
+        metrics.append(evaluate_classifier(model, data.take(fold_indices[held])))
     return StabilityReport(
         per_fold=tuple(metrics),
         cov_precision=_cov([m.precision for m in metrics]),
@@ -460,17 +449,14 @@ def cross_validate(config: EnsembleConfig | None, data: LabeledDataset,
     )
 
 
-def _carve_validation(part: LabeledDataset, rng_seed: int, val_fraction: float = 0.1):
+def _carve_validation(part: LabeledDataset, rng_seed: int):
     """Stratified 90/10 train/val carve-out inside one CV fold."""
     rng = np.random.default_rng(rng_seed)
     val_rows = []
     for cls in (0, 1):
         rows = np.flatnonzero(part.labels == cls)
-        count = max(1, int(math.floor(rows.size * val_fraction + 0.5)))
+        count = max(1, int(math.floor(rows.size * 0.1 + 0.5)))
         val_rows.append(rng.permutation(rows)[:count])
     val_mask = np.zeros(part.size, dtype=bool)
     val_mask[np.concatenate(val_rows)] = True
-    return (
-        part.take(np.flatnonzero(~val_mask), tag="train"),
-        part.take(np.flatnonzero(val_mask), tag="val"),
-    )
+    return part.take(np.flatnonzero(~val_mask)), part.take(np.flatnonzero(val_mask))

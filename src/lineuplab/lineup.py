@@ -293,7 +293,8 @@ def compare_variants(results_before, original: CorpusHandle,
     Lineup membership stays fixed from the before-pass. Member vectors come
     from ``restored``; the source vector always comes from ``original``
     (sources are not restored). A lineup whose member is absent from
-    ``restored`` is recorded as failed rather than raising.
+    ``restored`` is recorded as failed rather than raising; ``failed`` is
+    sorted by source id.
     """
     compared: list[LineupResult] = []
     failed: list[ImageId] = []
@@ -310,7 +311,7 @@ def compare_variants(results_before, original: CorpusHandle,
     return RankChangeReport(
         per_lineup=tuple(records),
         histogram=change_histogram(records),
-        failed=tuple(failed),
+        failed=tuple(sorted(failed)),
     )
 
 
@@ -340,7 +341,7 @@ def summarize_outcomes(report: RankChangeReport, results_before) -> OutcomeTable
     )
     failed = len(report.failed)
     total = len(report.per_lineup) + failed
-    if results_before is not None and len(results_before) != total:
+    if len(results_before) != total:
         raise DataError(
             f"outcome accounting mismatch: {len(results_before)} before-results, "
             f"{total} compared+failed"

@@ -14,6 +14,7 @@ import json
 import os
 import shlex
 import subprocess
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -88,9 +89,9 @@ class PipelineConfig:
     model: str | None = None
     lineup_seed: int = 0
     distinct_fillers: bool = False
-    dark_threshold: float = 30.0
-    bright_threshold: float = 225.0
-    blur_threshold: float = 15.0
+    dark_threshold: float = CurationConfig.dark_threshold
+    bright_threshold: float = CurationConfig.bright_threshold
+    blur_threshold: float = CurationConfig.blur_threshold
     train_seed: int = 0
     estimators: int = 100
     target: str = "source"  # which lineup image feeds failure prediction
@@ -415,16 +416,15 @@ def _write_features(config: PipelineConfig):
     handle = _corpus(config)
     landmarks = ingest_landmarks(_require(config, "paths.landmarks"))
     manifest_path = config.out(MANIFEST_FILE)
-    results_path = config.out(RESULTS_FILE)
     failed: set[str] = set()
     if manifest_path.is_file():
-        lineups = read_lineup_manifest(manifest_path)
+        if config.out(RESULTS_FILE).is_file():
+            lineups, results = _stored_lineups(config)
+            failed = {r.lineup.source for r in results if not r.success}
+        else:
+            lineups = read_lineup_manifest(manifest_path)
         ids = [lu.source for lu in lineups]
         targets = ids if config.target == "source" else [lu.probe for lu in lineups]
-        if results_path.is_file():
-            by_source = {lu.source: lu for lu in lineups}
-            failed = {r.lineup.source for r in read_results_csv(results_path, by_source)
-                      if not r.success}
     else:
         ids = targets = sorted(handle.ids)
     labels = np.array([int(i in failed) for i in ids], dtype=np.int64)
@@ -482,24 +482,30 @@ def _load_model_with_override(config: PipelineConfig):
     return model
 
 
-def run_predict(config: PipelineConfig, features=None):
-    """Per-lineup failure probabilities and decisions from stored features.
-
-    ``features`` is the stored file's ``read_feature_csv`` result when the
-    caller has parsed or just written it.
-    """
+def _predict(config: PipelineConfig, features):
+    """(source id, failure probability, predicted failure) per row of
+    ``features``, a ``read_feature_csv`` triple."""
     model = _load_model_with_override(config)
-    ids, _, matrix = _stored_features(config) if features is None else features
+    ids, _, matrix = features
     proba = model.predict_proba(matrix)
-    predicted = proba >= model.threshold
+    return list(zip(ids, proba.tolist(), (proba >= model.threshold).tolist()))
+
+
+def _write_predictions(config: PipelineConfig, guard: _OutputGuard, predictions) -> None:
+    with open(guard.track(config.out(PREDICTIONS_FILE)), "w", encoding="utf-8",
+              newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(("source_id", "probability", "predicted_failure"))
+        for sid, p, flag in predictions:
+            writer.writerow((sid, repr(p), "true" if flag else "false"))
+
+
+def run_predict(config: PipelineConfig):
+    """Per-lineup failure probabilities and decisions from stored features."""
+    predictions = _predict(config, _stored_features(config))
     with _OutputGuard() as guard:
-        with open(guard.track(config.out(PREDICTIONS_FILE)), "w", encoding="utf-8",
-                  newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(("source_id", "probability", "predicted_failure"))
-            for sid, p, flag in zip(ids, proba, predicted):
-                writer.writerow((sid, repr(float(p)), "true" if flag else "false"))
-    return list(zip(ids, proba.tolist(), predicted.tolist()))
+        _write_predictions(config, guard, predictions)
+    return predictions
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +543,6 @@ def compare_with_restored(results, original, restored) -> ComparisonBundle:
     corpus. Each table covers one sign of the before-rank.
     """
     report = compare_variants(results, original, restored)
-    report = replace(report, failed=tuple(sorted(report.failed)))
     before_rank = {r.lineup.source: r.probe_rank for r in results}
 
     def table(positive: bool) -> OutcomeTable:
@@ -601,27 +606,39 @@ def comparison_payload(bundle: ComparisonBundle) -> dict:
 
 
 def _stored_lineups(config: PipelineConfig) -> tuple[list[Lineup], list[LineupResult]]:
-    """The lineup manifest and before-results written by ``evaluate``."""
+    """The lineup manifest and before-results written by ``evaluate``: the
+    manifest's sources are distinct, and the results hold one row per
+    manifest lineup, in manifest order."""
     manifest_path = config.out(MANIFEST_FILE)
     results_path = config.out(RESULTS_FILE)
     if not manifest_path.is_file() or not results_path.is_file():
         raise ConfigError("lineup manifest/results not found (run 'evaluate' first)")
     lineups = read_lineup_manifest(manifest_path)
-    return lineups, read_results_csv(results_path, {lu.source: lu for lu in lineups})
+    sources = [lu.source for lu in lineups]
+    repeated = [source for source, n in Counter(sources).items() if n > 1]
+    if repeated:
+        raise DataError(f"{manifest_path}: lineup source {repeated[0]!r} appears more than once")
+    results = read_results_csv(results_path, dict(zip(sources, lineups)))
+    if [r.lineup.source for r in results] != sources:
+        raise DataError(f"{results_path}: results do not hold one row per lineup of "
+                        f"{manifest_path}, in manifest order (rerun 'evaluate')")
+    return lineups, results
 
 
-def _rerank(config: PipelineConfig, results, hook: bool = False) -> ComparisonBundle:
+def _rerank(config: PipelineConfig, results, predictions=None) -> ComparisonBundle:
     """Re-rank ``results`` against the restored corpus and commit the report
-    set. With ``hook`` and a configured hook command, the hook first runs
-    over every member image; an image whose run failed is left out of the
-    restored corpus, and the hook status is committed with the reports."""
+    set. ``predictions``, the rows of ``_predict``, marks the restore call:
+    they are committed with the reports, and with a configured hook command
+    the hook first runs over every member image; an image whose run failed
+    is left out of the restored corpus, and the hook status is committed
+    with the reports too."""
     original = _corpus(config)
     restored = _corpus(config, "paths.embeddings_restored")
     if restored.dim != original.dim:
         raise DataError(f"{config.embeddings_restored}: restored embeddings have dimension "
                         f"{restored.dim}, the original corpus {original.dim}")
     records = None
-    if hook and config.hook_command:
+    if predictions is not None and config.hook_command:
         records = run_hook(config, [m for r in results for m in r.lineup.members])
         failed = {image_id for image_id, record in records.items() if not record.ok}
         if failed:
@@ -630,6 +647,8 @@ def _rerank(config: PipelineConfig, results, hook: bool = False) -> ComparisonBu
     with _OutputGuard() as guard:
         _write_report_csvs(config, guard, bundle)
         _write_json(guard.track(config.out(COMPARISON_FILE)), comparison_payload(bundle))
+        if predictions is not None:
+            _write_predictions(config, guard, predictions)
         if records is not None:
             _write_json(guard.track(config.out(HOOK_STATUS_FILE)), {
                 "records": [
@@ -672,9 +691,11 @@ def run_predict_and_restore(config: PipelineConfig) -> ComparisonBundle:
     The flow: evaluate (if results are missing), extract features (if
     missing), predict, then run the hook over the predicted-failure lineups'
     members (sources are never restored) and re-rank those lineups against
-    the externally re-embedded restored corpus, as ``compare`` does.
+    the externally re-embedded restored corpus, as ``compare`` does. The
+    predictions are committed with the comparison reports, so a re-ranking
+    that fails leaves the previous ``predictions.csv`` in place.
     """
-    # before evaluate, features or predict commit anything
+    # before evaluate or features commit anything
     _require(config, "paths.embeddings_restored")
     if not config.out(MANIFEST_FILE).is_file() or not config.out(RESULTS_FILE).is_file():
         run_evaluate(config)
@@ -683,8 +704,9 @@ def run_predict_and_restore(config: PipelineConfig) -> ComparisonBundle:
         features = _read_checked_features(config, lineups, results)
     else:
         features = _write_features(config)[1]
-    flagged = {sid for sid, _, is_failure in run_predict(config, features) if is_failure}
-    return _rerank(config, [r for r in results if r.lineup.source in flagged], hook=True)
+    predictions = _predict(config, features)
+    flagged = {sid for sid, _, is_failure in predictions if is_failure}
+    return _rerank(config, [r for r in results if r.lineup.source in flagged], predictions)
 
 
 # ---------------------------------------------------------------------------

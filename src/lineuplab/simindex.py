@@ -46,7 +46,7 @@ from lineuplab.corpus import (
 from lineuplab.errors import DataError
 
 INDEX_MAGIC = b"LNUI"
-_HEADER = struct.Struct("<IQB")  # dim, count, flags (bit 0: unit-normalized)
+_HEADER = struct.Struct("<IQB")  # dim, count, flags (1: unit-normalized)
 
 DEFAULT_BATCH_SIZE = 256
 # float64 values (2 MiB) in one block of BLAS scores or gathered lineup rows
@@ -55,23 +55,18 @@ _UNIT_ROUNDOFF = 2.0 ** -53
 _UNIT_TOLERANCE = 1e-9  # how far a stored unit row's norm may sit from 1
 
 
-def l2_normalize(matrix: np.ndarray, ids=None) -> np.ndarray:
-    """Row-normalize to unit L2 length in float64.
+def l2_normalize(matrix: np.ndarray, ids) -> np.ndarray:
+    """Row-normalize a (n, d) matrix to unit L2 length in float64.
 
-    A zero row raises, naming its image id when ``ids`` is given.
+    A zero row raises, naming its image id, ``ids[row]``.
     """
     out = np.array(matrix, dtype=np.float64)
-    squeeze = out.ndim == 1
-    if squeeze:
-        out = out[None, :]
     norms = np.sqrt(np.einsum("nd,nd->n", out, out))
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:
-        bad = int(zero[0])
-        where = f"image {ids[bad]!r}" if ids is not None else f"row {bad}"
-        raise DataError(f"cannot normalize zero vector ({where})")
+        raise DataError(f"cannot normalize zero vector (image {ids[int(zero[0])]!r})")
     out /= norms[:, None]
-    return out[0] if squeeze else out
+    return out
 
 
 def score_kernel(queries: np.ndarray, corpus: np.ndarray) -> np.ndarray:
@@ -151,7 +146,7 @@ class SearchIndex:
     """Flat exact index over a normalized copy of the corpus."""
 
     corpus: CorpusHandle
-    normalized: np.ndarray      # (count, dim) float64, unit rows, read-only
+    matrix: np.ndarray          # (count, dim) float64, unit rows, read-only
     id_order: np.ndarray        # rank of each row's image id in ascending id sort
     identity_codes: np.ndarray  # small integer per row, equal iff the identities are
 
@@ -163,20 +158,12 @@ class SearchIndex:
     def dim(self) -> int:
         return self.corpus.dim
 
-    @property
-    def matrix(self) -> np.ndarray:
-        return self.normalized
-
-    @property
-    def row_ids(self) -> tuple[ImageId, ...]:
-        return self.corpus.ids
-
     def query_vector(self, image_id: ImageId) -> np.ndarray:
-        return self.normalized[self.corpus.row(image_id)]
+        return self.matrix[self.corpus.row(image_id)]
 
 
-def _make_index(corpus: CorpusHandle, normalized: np.ndarray) -> SearchIndex:
-    normalized.flags.writeable = False
+def _make_index(corpus: CorpusHandle, matrix: np.ndarray) -> SearchIndex:
+    matrix.flags.writeable = False
     ids = corpus.ids
     id_order = np.empty(len(ids), dtype=np.int64)
     id_order[np.argsort(np.asarray(ids, dtype=object), kind="stable")] = np.arange(len(ids))
@@ -185,7 +172,7 @@ def _make_index(corpus: CorpusHandle, normalized: np.ndarray) -> SearchIndex:
                                  count=len(ids))
     for array in (id_order, identity_codes):
         array.flags.writeable = False
-    return SearchIndex(corpus=corpus, normalized=normalized, id_order=id_order,
+    return SearchIndex(corpus=corpus, matrix=matrix, id_order=id_order,
                        identity_codes=identity_codes)
 
 
@@ -238,19 +225,19 @@ def _query_label(query_id, position: int) -> str:
 
 
 def _normalize_queries(queries, dim: int):
-    """Query ids and float64 rows from [(id, vector), ...], bare vectors, or
-    a 2-D array; the rows are a 2-D array or a list of 1-D arrays."""
+    """Query ids and float64 rows from [(id, vector), ...] or a 2-D array;
+    the rows are a 2-D array or a list of 1-D arrays."""
     if isinstance(queries, np.ndarray):
-        rows = np.asarray(queries if queries.ndim == 2 else queries[None, :], dtype=np.float64)
+        rows = np.asarray(queries, dtype=np.float64)
         if rows.ndim != 2 or (rows.shape[0] and rows.shape[1] != dim):
-            raise DataError(f"query dimension {rows.shape[-1]} != index dimension {dim}")
+            raise DataError(f"query array of shape {rows.shape} is not (queries, index "
+                            f"dimension {dim})")
         return [None] * rows.shape[0], rows
     ids, rows = [], []
     for entry in queries:
-        if isinstance(entry, tuple) and len(entry) == 2:
-            qid, vec = entry
-        else:
-            qid, vec = None, entry
+        if not (isinstance(entry, tuple) and len(entry) == 2):
+            raise DataError(f"query #{len(ids)}: expected an (image_id, vector) pair")
+        qid, vec = entry
         vec = np.asarray(vec, dtype=np.float64)
         if vec.shape != (dim,):
             raise DataError(f"query {_query_label(qid, len(ids))}: shape {vec.shape} "
@@ -273,16 +260,18 @@ def _query_norms(block: np.ndarray, ids, start: int) -> np.ndarray:
 
 
 def search_batch(index: SearchIndex, queries, k: int,
-                 exclude: ExclusionRule | None = None,
+                 exclude: ExclusionRule = NoExclusion(),
                  batch_size: int = DEFAULT_BATCH_SIZE) -> list[TopKResult]:
     """Exact top-k search for a block of queries.
 
-    ``queries`` is a list of (image_id, vector) pairs; bare vectors or a
-    2-D array work for anonymous queries. Queries are processed in blocks of
-    at most ``batch_size``, fewer when the corpus is large (each block's BLAS
-    scores fill at most ``BLOCK_VALUES``); results are invariant to the
-    blocking. A query with a NaN or infinite component, or a norm that
-    overflows float64, raises.
+    ``queries`` takes one of two forms: a list of (image_id, vector) pairs,
+    or a (queries, dim) array of anonymous queries, whose results carry
+    ``query_id`` None. Any other list entry raises, naming its position as
+    ``#<position>``. Queries are processed in blocks of at most
+    ``batch_size``, fewer when the corpus is large (each block's BLAS scores
+    fill at most ``BLOCK_VALUES``); results are invariant to the blocking. A
+    query with a NaN or infinite component, or a norm that overflows
+    float64, raises.
     """
     if k < 1:
         raise DataError(f"k must be positive, got {k}")
@@ -291,8 +280,7 @@ def search_batch(index: SearchIndex, queries, k: int,
     ids, rows = _normalize_queries(queries, index.dim)
     if not ids:
         return []
-    rule = exclude if exclude is not None else NoExclusion()
-    corpus = index.normalized
+    corpus = index.matrix
     step = max(1, min(batch_size, BLOCK_VALUES // index.count, len(ids)))
     buffer = np.empty((step, index.count))  # one block's BLAS scores, reused
     results: list[TopKResult] = []
@@ -301,7 +289,7 @@ def search_batch(index: SearchIndex, queries, k: int,
         block = np.array(rows[start:start + step], dtype=np.float64)
         norms = _query_norms(block, block_ids, start)
         approx = np.matmul(block, corpus.T, out=buffer[:len(block_ids)])
-        excluded = rule.mask(index, block_ids)
+        excluded = exclude.mask(index, block_ids)
         eligible = np.full(len(block_ids), index.count)
         if excluded is not None:
             approx[excluded] = -np.inf
@@ -320,7 +308,7 @@ def search_batch(index: SearchIndex, queries, k: int,
 
 
 def brute_force_topk(index: SearchIndex, query: np.ndarray, k: int,
-                     exclude: ExclusionRule | None = None,
+                     exclude: ExclusionRule = NoExclusion(),
                      query_id: ImageId | None = None) -> TopKResult:
     """Reference search: full sort over all candidates, no partitioning.
 
@@ -335,9 +323,8 @@ def brute_force_topk(index: SearchIndex, query: np.ndarray, k: int,
     if k < 1:
         raise DataError(f"k must be positive, got {k}")
     _query_norms(query[None, :], [query_id], 0)
-    scores = score_kernel(query[None, :], index.normalized)[0]
-    rule = exclude if exclude is not None else NoExclusion()
-    excluded = rule.mask(index, [query_id])
+    scores = score_kernel(query[None, :], index.matrix)[0]
+    excluded = exclude.mask(index, [query_id])
     if excluded is not None:
         scores = scores.copy()
         scores[excluded[0]] = -np.inf
@@ -363,7 +350,7 @@ def _hits(index: SearchIndex, rows: np.ndarray, scores: np.ndarray) -> tuple[Sea
 
 def save_index(index: SearchIndex, path) -> Path:
     return write_container(path, INDEX_MAGIC, _HEADER.pack(index.dim, index.count, 1),
-                           index.corpus.ids, index.corpus.identities, index.normalized, "<f8")
+                           index.corpus.ids, index.corpus.identities, index.matrix, "<f8")
 
 
 def load_index(path) -> SearchIndex:
@@ -374,13 +361,13 @@ def load_index(path) -> SearchIndex:
         if fh.read(4) != INDEX_MAGIC:
             raise DataError(f"{path}: not an index file")
     (_, _, flags), ids, identities, matrix = read_container(path, INDEX_MAGIC, _HEADER, "<f8")
-    handle = _make_handle(ids, identities, matrix.astype(np.float32), str(path))
-    if not flags & 1:
-        return build_index(handle)
+    if flags != 1:
+        raise DataError(f"{path}: flags {flags} unsupported (want 1, unit-normalized rows)")
     norms = np.sqrt(np.einsum("nd,nd->n", matrix, matrix))
     off = np.flatnonzero(np.abs(norms - 1.0) > _UNIT_TOLERANCE)
     if off.size:
         n = int(off[0])
         raise DataError(f"{path}: record {n} ({ids[n]!r}) is flagged unit length "
                         f"but has norm {norms[n]!r}")
+    handle = _make_handle(ids, identities, matrix.astype(np.float32), str(path))
     return _make_index(handle, matrix)

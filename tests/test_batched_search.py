@@ -58,7 +58,7 @@ def test_score_kernel_gathered_rows_match_full_scores():
     the same inner loop as the full kernel: equal bit for bit."""
     rng = np.random.default_rng(5)
     for dim in (8, 33, 512):
-        corpus = simindex.l2_normalize(rng.normal(size=(200, dim)))
+        corpus = simindex.l2_normalize(rng.normal(size=(200, dim)), range(200))
         queries = rng.normal(size=(30, dim))
         full = score_kernel(queries, corpus)
         picks = rng.integers(0, 200, size=(30, 7))

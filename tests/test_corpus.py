@@ -72,12 +72,6 @@ def test_ingest_rejects_dimension_drift(tmp_path):
         ingest_embeddings(path)
 
 
-def test_ingest_rejects_expected_dim_mismatch(tmp_path):
-    path = write_jsonl_corpus(tmp_path / "c.jsonl", [("a", "p1", [1.0, 0.0])])
-    with pytest.raises(DataError):
-        ingest_embeddings(path, expected_dim=3)
-
-
 def test_ingest_rejects_non_finite(tmp_path):
     path = tmp_path / "c.jsonl"
     path.write_text(json.dumps(
@@ -332,7 +326,7 @@ def _curation_fixture(tmp_path, rng):
 
 def test_curation_reasons_and_partition(tmp_path, rng):
     handle, table, images = _curation_fixture(tmp_path, rng)
-    report = curate(handle, table, images)
+    report = curate(handle, table, images, CurationConfig())
     reasons = dict(report.removed)
     assert reasons == {
         "dark": TOO_DARK,
@@ -349,7 +343,7 @@ def test_curation_reasons_and_partition(tmp_path, rng):
 def test_curation_reason_precedence(tmp_path, rng):
     # A dark image with no landmarks: the landmark gate fires first.
     handle, table, images = _curation_fixture(tmp_path, rng)
-    report = curate(handle, {}, images)
+    report = curate(handle, {}, images, CurationConfig())
     reasons = dict(report.removed)
     assert reasons["dark"] == NO_FACE
     assert reasons["missing"] == NO_IMAGE
@@ -357,8 +351,8 @@ def test_curation_reason_precedence(tmp_path, rng):
 
 def test_curation_idempotent(tmp_path, rng):
     handle, table, images = _curation_fixture(tmp_path, rng)
-    first = curate(handle, table, images)
-    second = curate(first.retained, table, images)
+    first = curate(handle, table, images, CurationConfig())
+    second = curate(first.retained, table, images, CurationConfig())
     assert second.removed == ()
     assert second.retained.ids == first.retained.ids
 

@@ -64,8 +64,6 @@ def test_split_preserves_class_proportions_exactly():
         assert part.size == want
         assert int(np.sum(part.labels == 1)) == want // 2
 
-    assert (train.tag, val.tag, test.tag) == ("train", "val", "test")
-
 
 def test_split_allocation_within_one_of_exact():
     # 37 failures / 53 successes: neither class divides evenly.
@@ -548,9 +546,9 @@ def test_optimize_threshold_matches_manual_scan(rng):
     labels[2:4] = 0
     raw = np.clip(0.5 * labels + rng.normal(0, 0.25, size=40), 0.01, 0.99)
     model = stub_ensemble((raw,), (raw,))
-    val = dataset_from_arrays(np.zeros((40, 1)), labels, tag="val")
+    val = dataset_from_arrays(np.zeros((40, 1)), labels)
     proba = model.predict_proba(val.matrix)
-    assert optimize_threshold(model, val) == _manual_best_threshold(labels, proba)
+    assert optimize_threshold(model, val)[0] == _manual_best_threshold(labels, proba)
 
 
 def test_optimize_threshold_penalizes_low_precision():
@@ -559,8 +557,8 @@ def test_optimize_threshold_penalizes_low_precision():
     labels = np.array([1, 0, 0, 0, 0], dtype=np.int8)
     proba = np.array([0.7, 0.7, 0.7, 0.7, 0.26])
     model = stub_ensemble((proba,), (proba,))
-    val = dataset_from_arrays(np.zeros((5, 1)), labels, tag="val")
-    threshold, scored = optimize_threshold(model, val, return_scores=True)
+    val = dataset_from_arrays(np.zeros((5, 1)), labels)
+    threshold, scored = optimize_threshold(model, val)
     assert threshold == float(THRESHOLD_GRID[1])
     assert max(s for _, s in scored) == pytest.approx(0.4 - 1.0)
 
@@ -571,8 +569,8 @@ def test_optimize_threshold_tie_takes_lowest():
     labels = np.array([1, 1, 0, 0, 0, 0], dtype=np.int8)
     proba = np.array([0.6, 0.45, 0.45, 0.45, 0.3, 0.3])
     model = stub_ensemble((proba,), (proba,))
-    val = dataset_from_arrays(np.zeros((6, 1)), labels, tag="val")
-    threshold, scored = optimize_threshold(model, val, return_scores=True)
+    val = dataset_from_arrays(np.zeros((6, 1)), labels)
+    threshold, scored = optimize_threshold(model, val)
     best = max(s for _, s in scored)
     assert best == pytest.approx(2.0 / 3.0)
     assert sum(1 for _, s in scored if s == best) > 1
@@ -581,7 +579,7 @@ def test_optimize_threshold_tie_takes_lowest():
 
 def test_optimize_threshold_empty_validation():
     model = stub_ensemble(([0.5],), ([0.5],))
-    empty = dataset_from_arrays(np.zeros((0, 1)), [], tag="val")
+    empty = dataset_from_arrays(np.zeros((0, 1)), [])
     with pytest.raises(DataError, match="non-empty"):
         optimize_threshold(model, empty)
 
@@ -814,4 +812,4 @@ def test_cross_validate_stability_and_shape():
 def test_cross_validate_rejects_small_class():
     data = labeled_blobs(np.random.default_rng(61), n=63, failures=3)
     with pytest.raises(DataError, match="need at least 5"):
-        cross_validate(None, data, folds=5, seed=0)
+        cross_validate(EnsembleConfig.default(0), data, folds=5, seed=0)

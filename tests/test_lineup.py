@@ -317,6 +317,12 @@ def test_compare_variants_missing_member_fails_soft(tmp_path):
     assert report.failed == ("src",)
 
 
+def test_compare_variants_sorts_failed_lineups(tmp_path):
+    original, restored, _ = _before_after_fixture(tmp_path)
+    before = [_result_with_rank(source, 1) for source in ("c", "b", "a")]
+    assert compare_variants(before, original, restored).failed == ("a", "b", "c")
+
+
 def test_change_histogram_bins():
     records = [RankChangeRecord("a", 3, 1), RankChangeRecord("b", 1, 3),
                RankChangeRecord("c", 2, 2), RankChangeRecord("d", 5, 0)]

@@ -984,3 +984,38 @@ def test_restore_rejects_restored_corpus_of_another_dimension(chain, tmp_path, c
     assert not marker.exists()
     assert not (out / COMPARISON_FILE).exists()
     assert not (out / HOOK_STATUS_FILE).exists()
+    assert not (out / PREDICTIONS_FILE).exists()
+
+
+def test_restore_rejects_zero_restored_vectors_without_committing(chain, tmp_path, capsys):
+    out = tmp_path / "out"
+    args = _restore_args(chain, out)
+    zero = tmp_path / "zero.jsonl"
+    rows = [json.loads(line) for line in chain.ws.restored.read_text().splitlines()]
+    zero.write_text("".join(json.dumps({**r, "vector": [0.0] * len(r["vector"])}) + "\n"
+                            for r in rows))
+    assert cli.main([*args, "--paths.embeddings_restored", str(zero)]) == 2
+    assert "cannot normalize zero vector" in capsys.readouterr().err
+    for name in (PREDICTIONS_FILE, COMPARISON_FILE, RANK_CHANGES_FILE):
+        assert not (out / name).exists()
+
+
+@pytest.mark.parametrize("fault", ["repeated_result", "missing_result", "repeated_lineup"])
+def test_compare_rejects_results_that_do_not_match_the_manifest(chain, tmp_path, capsys, fault):
+    out = tmp_path / "out"
+    out.mkdir()
+    manifest = (chain.out / MANIFEST_FILE).read_text().splitlines(keepends=True)
+    results = (chain.out / RESULTS_FILE).read_text().splitlines(keepends=True)
+    if fault == "repeated_result":
+        results.append(results[1])
+    elif fault == "missing_result":
+        del results[1]
+    else:
+        manifest.append(manifest[0])
+    (out / MANIFEST_FILE).write_text("".join(manifest))
+    (out / RESULTS_FILE).write_text("".join(results))
+    code = cli.main(["compare", "--config", str(chain.ws.config), "--paths.output", str(out)])
+    assert code == 2
+    message = "appears more than once" if fault == "repeated_lineup" else "one row per lineup"
+    assert message in capsys.readouterr().err
+    assert not (out / COMPARISON_FILE).exists()

@@ -27,7 +27,7 @@ def test_build_index_normalizes_rows(tmp_path, rng):
     norms = np.linalg.norm(index.matrix, axis=1)
     assert np.allclose(norms, 1.0, atol=1e-12)
     assert index.count == handle.count
-    assert index.row_ids == handle.ids
+    assert index.corpus.ids == handle.ids
 
 
 def test_build_index_names_zero_vector(tmp_path):
@@ -106,8 +106,9 @@ def test_exclude_identity(tmp_path, rng):
 def test_no_exclusion_is_default(tmp_path, rng):
     handle = make_corpus(tmp_path, rng, n_identities=3, per_identity=2, dim=4)
     index = build_index(handle)
-    q = index.query_vector(handle.ids[0])
-    assert search_batch(index, [q], 3) == search_batch(index, [q], 3, exclude=NoExclusion())
+    queries = [(handle.ids[0], index.query_vector(handle.ids[0]))]
+    assert search_batch(index, queries, 3) == search_batch(index, queries, 3,
+                                                           exclude=NoExclusion())
 
 
 def test_batch_size_invariance(tmp_path, rng):
@@ -132,7 +133,7 @@ def test_query_order_invariance(tmp_path, rng):
 def test_hits_sorted_descending(tmp_path, rng):
     handle = make_corpus(tmp_path, rng, n_identities=10, per_identity=2, dim=8)
     index = build_index(handle)
-    res = search_batch(index, [index.query_vector(handle.ids[3])], 10)[0]
+    res = search_batch(index, [(handle.ids[3], index.query_vector(handle.ids[3]))], 10)[0]
     scores = [h.score for h in res.hits]
     assert scores == sorted(scores, reverse=True)
 
@@ -140,18 +141,28 @@ def test_hits_sorted_descending(tmp_path, rng):
 def test_invalid_arguments(tmp_path, rng):
     handle = make_corpus(tmp_path, rng, n_identities=2, per_identity=2, dim=4)
     index = build_index(handle)
-    q = index.query_vector(handle.ids[0])
+    queries = [(handle.ids[0], index.query_vector(handle.ids[0]))]
     with pytest.raises(DataError, match="k must be positive"):
-        search_batch(index, [q], 0)
+        search_batch(index, queries, 0)
     with pytest.raises(DataError, match="batch size"):
-        search_batch(index, [q], 1, batch_size=0)
+        search_batch(index, queries, 1, batch_size=0)
     with pytest.raises(DataError, match="dimension"):
         search_batch(index, np.ones((1, 7)), 1)
 
 
+def test_search_rejects_entries_that_are_not_id_vector_pairs(tmp_path, rng):
+    handle = make_corpus(tmp_path, rng, n_identities=3, per_identity=2, dim=4)
+    index = build_index(handle)
+    qid = handle.ids[0]
+    vec = index.query_vector(qid)
+    for queries, position in [([(qid, vec), vec], 1), ([(qid, vec, "extra")], 0)]:
+        with pytest.raises(DataError, match=f"query #{position}: expected an"):
+            search_batch(index, queries, 3)
+
+
 def test_l2_normalize_zero_vector_raises():
-    with pytest.raises(DataError, match="zero vector"):
-        l2_normalize(np.zeros(3))
+    with pytest.raises(DataError, match="zero vector \\(image 'b'\\)"):
+        l2_normalize(np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]), ["a", "b"])
 
 
 def test_index_save_load_round_trip(tmp_path, rng):
@@ -159,10 +170,21 @@ def test_index_save_load_round_trip(tmp_path, rng):
     index = build_index(handle)
     path = save_index(index, tmp_path / "x.index")
     loaded = load_index(path)
-    assert loaded.row_ids == index.row_ids
-    assert np.array_equal(loaded.normalized, index.normalized)
+    assert loaded.corpus.ids == index.corpus.ids
+    assert np.array_equal(loaded.matrix, index.matrix)
     queries = [(i, index.query_vector(i)) for i in handle.ids[:4]]
     assert search_batch(loaded, queries, 5) == search_batch(index, queries, 5)
+
+
+@pytest.mark.parametrize("flags", [0, 2])
+def test_load_index_rejects_flags_other_than_unit(tmp_path, rng, flags):
+    handle = make_corpus(tmp_path, rng, n_identities=3, per_identity=2, dim=4)
+    path = save_index(build_index(handle), tmp_path / "x.index")
+    data = bytearray(path.read_bytes())
+    data[4 + simindex._HEADER.size - 1] = flags  # the header's last byte
+    path.write_bytes(bytes(data))
+    with pytest.raises(DataError, match=f"flags {flags} unsupported"):
+        load_index(path)
 
 
 def test_load_index_rejects_garbage(tmp_path):
