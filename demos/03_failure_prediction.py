@@ -51,7 +51,7 @@ def main(workdir: Path) -> None:
 
     # Full ensemble: ten precision-leaning and ten recall-leaning learners,
     # fused by the geometric mean of the two cohort averages.
-    model = train_ensemble(train, val, EnsembleConfig.default(3).scaled(16))
+    model = train_ensemble(train, val, EnsembleConfig.default(3, 16))
     print(f"\ntrained 10+10 learners; threshold {model.threshold:.4f} "
           f"picked from a {len(THRESHOLD_GRID)}-point grid "
           f"[{THRESHOLD_GRID[0]:.2f}, {THRESHOLD_GRID[-1]:.2f}]")
@@ -66,7 +66,7 @@ def main(workdir: Path) -> None:
     same = np.array_equal(model.predict_proba(test.matrix), clone.predict_proba(test.matrix))
     print(f"model saved to {path}; reloaded predictions identical: {same}")
 
-    stability = cross_validate(EnsembleConfig.default(3).scaled(16), data, folds=5, seed=3)
+    stability = cross_validate(EnsembleConfig.default(3, 16), data, folds=5, seed=3)
     print(f"\n5-fold stability: CoV precision {stability.cov_precision:.4f}, "
           f"CoV recall {stability.cov_recall:.4f}")
     for i, fold in enumerate(stability.per_fold):

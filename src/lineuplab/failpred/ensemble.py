@@ -2,10 +2,16 @@
 
 Twenty base classifiers: ten trained on conservatively rebalanced data
 (success:failure ratios 1.2 to 2.0) for precision, ten on aggressively
-rebalanced data (0.7 to 1.1) for recall. Four learner families rotate
-round-robin across each cohort's ten datasets. The ensemble probability is
-the geometric mean of the two cohort means, and the decision threshold is
-tuned on validation data over a 50-point grid from 0.25 to 0.75.
+rebalanced data (0.7 to 1.1) for recall. ``COHORTS`` holds each cohort's
+constants, and ``cohort_specs`` turns one entry into its ten learner plans;
+four learner families rotate round-robin across each cohort's ten datasets.
+The ensemble probability is the geometric mean of the two cohort means, and
+the decision threshold is tuned on validation data over a 50-point grid from
+0.25 to 0.75.
+
+Every row cut is one stratified cut, ``_stratified_parts``: the
+train/val/test split, the cross-validation folds and each fold's validation
+carve-out differ only in the part sizes they deal each class into.
 """
 
 from __future__ import annotations
@@ -23,14 +29,24 @@ from lineuplab.imgfeat.standardize import Standardizer, fit_standardizer
 SPLIT_FRACTIONS = (0.72, 0.08, 0.20)
 THRESHOLD_GRID = np.linspace(0.25, 0.75, 50)
 
-PRECISION_RATIOS = np.linspace(1.2, 2.0, 10)
-RECALL_RATIOS = np.linspace(0.7, 1.1, 10)
-RECALL_CLASS_WEIGHTS = np.linspace(1.5, 2.5, 10)
-PRECISION_DEPTHS = (3, 4, 5, 6, 7, 8)
-RECALL_DEPTHS = (8, 9, 10)
-
-PRECISION_FAMILIES = ("logistic", "gradient_boosting", "random_forest", "xgb_style")
-RECALL_FAMILIES = ("logistic", "extra_trees", "random_forest", "xgb_style")
+# objective -> the cohort's constants. Learner i takes ratio i and class
+# weight i, family i and depth i round-robin, and the shared learner fields.
+COHORTS = {
+    "precision": {
+        "ratios": np.linspace(1.2, 2.0, 10),
+        "families": ("logistic", "gradient_boosting", "random_forest", "xgb_style"),
+        "depths": (3, 4, 5, 6, 7, 8),
+        "class_weights": np.full(10, 1.2),
+        "learner": {"C": 1.0, "min_split": 20, "min_leaf": 10, "learning_rate": 0.1},
+    },
+    "recall": {
+        "ratios": np.linspace(0.7, 1.1, 10),
+        "families": ("logistic", "extra_trees", "random_forest", "xgb_style"),
+        "depths": (8, 9, 10),
+        "class_weights": np.linspace(1.5, 2.5, 10),
+        "learner": {"C": 0.1, "min_split": 10, "min_leaf": 5, "learning_rate": 0.05},
+    },
+}
 
 TREE_ESTIMATOR_CAP = 100
 
@@ -85,6 +101,20 @@ def _largest_remainder(n: int, fractions) -> list[int]:
     return floors
 
 
+def _stratified_parts(labels: np.ndarray, rng: np.random.Generator, sizes,
+                      minimum: int) -> list[np.ndarray]:
+    """The sorted row indices of each part. For class 0 and then class 1,
+    the class's rows in ``rng.permutation`` order are dealt into consecutive
+    runs of ``sizes(count)`` rows, one run per part."""
+    runs = []
+    for cls in (0, 1):
+        rows = np.flatnonzero(labels == cls)
+        if rows.size < minimum:
+            raise DataError(f"class {cls} has {rows.size} samples, need at least {minimum}")
+        runs.append(np.split(rng.permutation(rows), np.cumsum(sizes(rows.size))[:-1]))
+    return [np.sort(np.concatenate(part)) for part in zip(*runs)]
+
+
 def stratified_split(data: LabeledDataset, fractions=SPLIT_FRACTIONS, seed: int = 0):
     """Split preserving per-class proportions within one sample.
 
@@ -93,19 +123,9 @@ def stratified_split(data: LabeledDataset, fractions=SPLIT_FRACTIONS, seed: int 
     """
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise DataError(f"split fractions must sum to 1, got {sum(fractions)}")
-    rng = np.random.default_rng(seed)
-    parts: list[list[np.ndarray]] = [[], [], []]
-    for cls in (0, 1):
-        rows = np.flatnonzero(data.labels == cls)
-        if rows.size < 3:
-            raise DataError(f"class {cls} has {rows.size} samples, need at least 3")
-        rows = rng.permutation(rows)
-        counts = _largest_remainder(rows.size, fractions)
-        start = 0
-        for part, count in zip(parts, counts):
-            part.append(rows[start : start + count])
-            start += count
-    return tuple(data.take(np.sort(np.concatenate(part))) for part in parts)
+    parts = _stratified_parts(data.labels, np.random.default_rng(seed),
+                              lambda n: _largest_remainder(n, fractions), 3)
+    return tuple(data.take(rows) for rows in parts)
 
 
 @dataclass(frozen=True)
@@ -166,42 +186,21 @@ class BaseClassifierConfig:
         )
 
 
-def precision_cohort_specs(seeds) -> tuple[tuple[RebalanceSpec, BaseClassifierConfig], ...]:
-    """Ten conservative datasets: ratios 1.2..2.0, fixed 1.2 class weight."""
-    out = []
-    for i, ratio in enumerate(PRECISION_RATIOS):
-        rebalance_seed, learner_seed = seeds[i]
-        config = BaseClassifierConfig(
-            family=PRECISION_FAMILIES[i % 4],
+def cohort_specs(objective: str, seeds, n_estimators: int):
+    """The ten (rebalance spec, learner config) pairs of one ``COHORTS``
+    entry; ``seeds`` holds each learner's (rebalance, learner) seed pair."""
+    c = COHORTS[objective]
+    return tuple(
+        (RebalanceSpec(float(ratio), rebalance_seed, objective), BaseClassifierConfig(
+            family=c["families"][i % len(c["families"])],
             seed=learner_seed,
-            C=1.0,
-            max_depth=PRECISION_DEPTHS[i % len(PRECISION_DEPTHS)],
-            min_split=20,
-            min_leaf=10,
-            class_weight=1.2,
-            learning_rate=0.1,
-        )
-        out.append((RebalanceSpec(float(ratio), rebalance_seed, "precision"), config))
-    return tuple(out)
-
-
-def recall_cohort_specs(seeds) -> tuple[tuple[RebalanceSpec, BaseClassifierConfig], ...]:
-    """Ten aggressive datasets: ratios 0.7..1.1, class weights 1.5..2.5."""
-    out = []
-    for i, ratio in enumerate(RECALL_RATIOS):
-        rebalance_seed, learner_seed = seeds[i]
-        config = BaseClassifierConfig(
-            family=RECALL_FAMILIES[i % 4],
-            seed=learner_seed,
-            C=0.1,
-            max_depth=RECALL_DEPTHS[i % len(RECALL_DEPTHS)],
-            min_split=10,
-            min_leaf=5,
-            class_weight=float(RECALL_CLASS_WEIGHTS[i]),
-            learning_rate=0.05,
-        )
-        out.append((RebalanceSpec(float(ratio), rebalance_seed, "recall"), config))
-    return tuple(out)
+            n_estimators=n_estimators,
+            max_depth=c["depths"][i % len(c["depths"])],
+            class_weight=float(c["class_weights"][i]),
+            **c["learner"],
+        ))
+        for i, (ratio, (rebalance_seed, learner_seed)) in enumerate(zip(c["ratios"], seeds))
+    )
 
 
 def _spawn_seed_pairs(seed: int, count: int):
@@ -217,21 +216,16 @@ class EnsembleConfig:
     recall: tuple = ()
 
     @staticmethod
-    def default(seed: int = 0) -> "EnsembleConfig":
+    def default(seed: int = 0, n_estimators: int = TREE_ESTIMATOR_CAP) -> "EnsembleConfig":
+        """The twenty-learner plan; tree learners grow ``n_estimators``
+        trees, capped at 100."""
         pairs = _spawn_seed_pairs(seed, 20)
+        budget = min(n_estimators, TREE_ESTIMATOR_CAP)
         return EnsembleConfig(
             seed=seed,
-            precision=precision_cohort_specs(pairs[:10]),
-            recall=recall_cohort_specs(pairs[10:]),
+            precision=cohort_specs("precision", pairs[:10], budget),
+            recall=cohort_specs("recall", pairs[10:], budget),
         )
-
-    def scaled(self, n_estimators: int) -> "EnsembleConfig":
-        """Same plan with a smaller tree budget (still capped at 100)."""
-        cap = min(n_estimators, TREE_ESTIMATOR_CAP)
-        shrink = lambda cohort: tuple(
-            (spec, replace(cfg, n_estimators=cap)) for spec, cfg in cohort
-        )
-        return EnsembleConfig(self.seed, shrink(self.precision), shrink(self.recall))
 
 
 # ---------------------------------------------------------------------------
@@ -346,13 +340,6 @@ class Metrics:
     tn: int
 
 
-def _metrics_from_counts(tp: int, fp: int, fn: int, tn: int) -> Metrics:
-    precision = tp / (tp + fp) if tp + fp > 0 else 0.0
-    recall = tp / (tp + fn) if tp + fn > 0 else 0.0
-    f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
-    return Metrics(precision, recall, f1, tp, fp, fn, tn)
-
-
 def binary_metrics(labels: np.ndarray, predicted: np.ndarray) -> Metrics:
     labels = np.asarray(labels).astype(bool)
     predicted = np.asarray(predicted).astype(bool)
@@ -360,7 +347,10 @@ def binary_metrics(labels: np.ndarray, predicted: np.ndarray) -> Metrics:
     fp = int(np.count_nonzero(~labels & predicted))
     fn = int(np.count_nonzero(labels & ~predicted))
     tn = int(np.count_nonzero(~labels & ~predicted))
-    return _metrics_from_counts(tp, fp, fn, tn)
+    precision = tp / (tp + fp) if tp + fp > 0 else 0.0
+    recall = tp / (tp + fn) if tp + fn > 0 else 0.0
+    f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
+    return Metrics(precision, recall, f1, tp, fp, fn, tn)
 
 
 def threshold_score(m: Metrics) -> float:
@@ -423,16 +413,11 @@ def cross_validate(config: EnsembleConfig, data: LabeledDataset,
     Each fold's training portion donates a deterministic 10% validation
     carve-out for threshold tuning; metrics come from the held-out fold.
     """
-    rng = np.random.default_rng(seed)
-    fold_rows: list[list[np.ndarray]] = [[] for _ in range(folds)]
-    for cls in (0, 1):
-        rows = np.flatnonzero(data.labels == cls)
-        if rows.size < folds:
-            raise DataError(f"class {cls} has {rows.size} samples, need at least {folds}")
-        rows = rng.permutation(rows)
-        for i, chunk in enumerate(np.array_split(rows, folds)):
-            fold_rows[i].append(chunk)
-    fold_indices = [np.sort(np.concatenate(chunks)) for chunks in fold_rows]
+    if folds < 2:
+        raise DataError(f"cross-validation needs at least 2 folds, got {folds}")
+    fold_indices = _stratified_parts(
+        data.labels, np.random.default_rng(seed),
+        lambda n: [n // folds + (i < n % folds) for i in range(folds)], folds)
     metrics: list[Metrics] = []
     for held in range(folds):
         train_rows = np.sort(np.concatenate(
@@ -449,14 +434,13 @@ def cross_validate(config: EnsembleConfig, data: LabeledDataset,
     )
 
 
+def _carve_sizes(n: int) -> list[int]:
+    val = min(n, max(1, int(math.floor(n * 0.1 + 0.5))))
+    return [val, n - val]
+
+
 def _carve_validation(part: LabeledDataset, rng_seed: int):
     """Stratified 90/10 train/val carve-out inside one CV fold."""
-    rng = np.random.default_rng(rng_seed)
-    val_rows = []
-    for cls in (0, 1):
-        rows = np.flatnonzero(part.labels == cls)
-        count = max(1, int(math.floor(rows.size * 0.1 + 0.5)))
-        val_rows.append(rng.permutation(rows)[:count])
-    val_mask = np.zeros(part.size, dtype=bool)
-    val_mask[np.concatenate(val_rows)] = True
-    return part.take(np.flatnonzero(~val_mask)), part.take(np.flatnonzero(val_mask))
+    val, rest = _stratified_parts(part.labels, np.random.default_rng(rng_seed),
+                                  _carve_sizes, 0)
+    return part.take(rest), part.take(val)

@@ -46,14 +46,27 @@ def _tree_to_obj(tree: Tree) -> dict:
     }
 
 
-def _tree_from_obj(obj: dict) -> Tree:
-    return Tree(
+def _tree_from_obj(obj: dict, dim: int) -> Tree:
+    """A stored tree whose descent ends: every split node reads a feature
+    in [0, dim) and sends both children to later nodes, the order in which
+    ``grow_tree`` allocates them."""
+    tree = Tree(
         feature=np.asarray(obj["feature"], dtype=np.int32),
         threshold=np.asarray(obj["threshold"], dtype=np.float64),
         left=np.asarray(obj["left"], dtype=np.int32),
         right=np.asarray(obj["right"], dtype=np.int32),
         value=np.asarray(obj["value"], dtype=np.float64),
     )
+    size = tree.feature.size
+    if size < 1 or any(getattr(tree, f.name).shape != (size,) for f in fields(Tree)):
+        raise DataError("tree arrays must share one length of at least 1 (rerun 'train')")
+    if np.any((tree.feature < -1) | (tree.feature >= dim)):
+        raise DataError(f"tree splits on a feature outside [0, {dim}) (rerun 'train')")
+    split = np.flatnonzero(tree.feature >= 0)
+    for child in (tree.left[split], tree.right[split]):
+        if np.any((child <= split) | (child >= size)):
+            raise DataError("tree child does not index a later node (rerun 'train')")
+    return tree
 
 
 def _model_to_obj(model) -> dict:
@@ -75,22 +88,23 @@ def _model_to_obj(model) -> dict:
     raise DataError(f"cannot serialize model of type {type(model).__name__}")
 
 
-def _model_from_obj(obj: dict):
+def _model_from_obj(obj: dict, dim: int):
     kind = obj.get("kind")
     if kind == "logistic":
-        return LogisticModel(
-            coef=np.asarray(obj["coef"], dtype=np.float64),
-            intercept=float(obj["intercept"]),
-        )
+        coef = np.asarray(obj["coef"], dtype=np.float64)
+        if coef.shape != (dim,):
+            raise DataError(f"logistic coef has shape {coef.shape}, the standardizer "
+                            f"{dim} dimensions (rerun 'train')")
+        return LogisticModel(coef=coef, intercept=float(obj["intercept"]))
     if kind == "forest":
         if not obj["trees"]:
             raise DataError("forest learner has no trees (rerun 'train')")
-        return ForestModel(trees=tuple(_tree_from_obj(t) for t in obj["trees"]))
+        return ForestModel(trees=tuple(_tree_from_obj(t, dim) for t in obj["trees"]))
     if kind == "boosted":
         return BoostedModel(
             f0=float(obj["f0"]),
             learning_rate=float(obj["learning_rate"]),
-            trees=tuple(_tree_from_obj(t) for t in obj["trees"]),
+            trees=tuple(_tree_from_obj(t, dim) for t in obj["trees"]),
         )
     raise DataError(f"unknown model kind {kind!r} in artifact")
 
@@ -114,11 +128,11 @@ def _from_echo(cls, echo: dict):
     return cls(**echo)
 
 
-def _classifier_from_obj(obj: dict) -> TrainedClassifier:
+def _classifier_from_obj(obj: dict, dim: int) -> TrainedClassifier:
     return TrainedClassifier(
         spec=_from_echo(RebalanceSpec, obj["rebalance"]),
         config=_from_echo(BaseClassifierConfig, obj["config"]),
-        model=_model_from_obj(obj["params"]),
+        model=_model_from_obj(obj["params"], dim),
     )
 
 
@@ -162,62 +176,47 @@ def load_model(path) -> EnsembleModel:
             mean=np.asarray(payload["standardizer"]["mean"], dtype=np.float64),
             std=np.asarray(payload["standardizer"]["std"], dtype=np.float64),
         )
+        dim = standardizer.dim
+        if standardizer.mean.shape != (dim,) or standardizer.std.shape != (dim,):
+            raise DataError(f"standardizer mean has shape {standardizer.mean.shape} and std "
+                            f"{standardizer.std.shape}; they must match (rerun 'train')")
+        cohorts = payload["cohorts"]
         return EnsembleModel(
-            precision_models=tuple(
-                _classifier_from_obj(o) for o in payload["cohorts"]["precision"]
-            ),
-            recall_models=tuple(
-                _classifier_from_obj(o) for o in payload["cohorts"]["recall"]
-            ),
+            precision_models=tuple(_classifier_from_obj(o, dim) for o in cohorts["precision"]),
+            recall_models=tuple(_classifier_from_obj(o, dim) for o in cohorts["recall"]),
             standardizer=standardizer,
             threshold=float(payload["threshold"]),
             seed=int(payload["seed"]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"{path}: incomplete model artifact ({exc})") from None
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None
 
 
-def _metrics_obj(m) -> dict:
-    return {
-        "precision": m.precision, "recall": m.recall, "f1": m.f1,
-        "tp": m.tp, "fp": m.fp, "fn": m.fn, "tn": m.tn,
-    }
-
-
-def save_training_report(model: EnsembleModel, val, path) -> Path:
+def training_report(model: EnsembleModel, val) -> dict:
     """Chosen threshold, grid scores, and per-model validation metrics.
 
     Base-model rows are scored at the conventional 0.5 boundary; the
     ensemble row uses the tuned threshold.
     """
-    path = Path(path)
     Z = model.standardizer.transform(val.matrix)
 
     def model_rows(cohort):
-        rows = []
-        for tc in cohort:
-            m = binary_metrics(val.labels, tc.predict_proba(Z) >= 0.5)
-            rows.append({
-                "family": tc.config.family,
-                "ratio": tc.spec.ratio,
-                "class_weight": tc.config.class_weight,
-                "max_depth": tc.config.max_depth,
-                "val": _metrics_obj(m),
-            })
-        return rows
+        return [{
+            "family": tc.config.family,
+            "ratio": tc.spec.ratio,
+            "class_weight": tc.config.class_weight,
+            "max_depth": tc.config.max_depth,
+            "val": asdict(binary_metrics(val.labels, tc.predict_proba(Z) >= 0.5)),
+        } for tc in cohort]
 
-    payload = {
+    return {
         "threshold": model.threshold,
         "grid_scores": [{"threshold": t, "score": s} for t, s in model.grid_scores],
-        "ensemble_val": _metrics_obj(evaluate_classifier(model, val)),
+        "ensemble_val": asdict(evaluate_classifier(model, val)),
         "models": {
             "precision": model_rows(model.precision_models),
             "recall": model_rows(model.recall_models),
         },
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-    return path

@@ -385,6 +385,16 @@ def write_lineup_manifest(lineups, path) -> Path:
     return path
 
 
+# manifest field -> (check, what the field must be)
+_MANIFEST_FIELDS = {
+    "source": (lambda v: isinstance(v, str), "a string"),
+    "fillers": (lambda v: isinstance(v, list) and all(isinstance(f, str) for f in v),
+                "a list of strings"),
+    "probe": (lambda v: isinstance(v, str), "a string"),
+    "seed": (lambda v: type(v) is int, "an integer"),  # a bool is not one
+}
+
+
 def read_lineup_manifest(path) -> list[Lineup]:
     path = Path(path)
     if not path.is_file():
@@ -392,13 +402,16 @@ def read_lineup_manifest(path) -> list[Lineup]:
     out: list[Lineup] = []
     for where, obj in json_objects(path):
         try:
+            for name, (ok, description) in _MANIFEST_FIELDS.items():
+                if not ok(obj[name]):
+                    raise DataError(f"{name!r} must be {description}, got {obj[name]!r}")
             out.append(Lineup(
                 source=obj["source"],
                 fillers=tuple(obj["fillers"]),
                 probe=obj["probe"],
-                seed=int(obj["seed"]),
+                seed=obj["seed"],
             ))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, DataError) as exc:
             raise DataError(f"{where}: malformed lineup entry ({exc})") from None
     return out
 

@@ -33,7 +33,7 @@ from lineuplab.failpred.ensemble import (
     stratified_split,
     train_ensemble,
 )
-from lineuplab.failpred.model_io import load_model, save_model, save_training_report
+from lineuplab.failpred.model_io import load_model, save_model, training_report
 from lineuplab.imgfeat import (
     CLASSICAL_FEATURE_COUNT,
     assemble_feature_vector,
@@ -106,6 +106,11 @@ class PipelineConfig:
             raise ConfigError(f"parallelism must be >= 1, got {self.parallelism}")
         if self.estimators < 1:
             raise ConfigError(f"train.estimators must be >= 1, got {self.estimators}")
+        # nan compares false with everything and would switch its rule off;
+        # inf stays allowed and means "never" or "always".
+        for leaf in ("dark_threshold", "bright_threshold", "blur_threshold"):
+            if np.isnan(getattr(self, leaf)):
+                raise ConfigError(f"curation.{leaf} must be a number, got nan")
         if self.train_seed < 0:
             raise ConfigError(f"train.seed must be >= 0, got {self.train_seed}")
         if self.target not in ("source", "probe"):
@@ -325,6 +330,10 @@ class RestorationHook:
     def __post_init__(self):
         if "{input}" not in self.template or "{output}" not in self.template:
             raise ConfigError("hook command must contain {input} and {output} placeholders")
+        try:
+            shlex.split(self.template)
+        except ValueError as exc:
+            raise ConfigError(f"hook command {self.template!r} cannot be split: {exc}") from None
 
     def run(self, image_id: ImageId, input_path: Path, output_path: Path) -> HookRecord:
         argv = [
@@ -461,14 +470,14 @@ def run_train(config: PipelineConfig):
     ids, labels, matrix = _stored_features(config)
     data = dataset_from_arrays(matrix, labels, ids)
     train, val, test = stratified_split(data, seed=config.train_seed)
-    ens_config = EnsembleConfig.default(config.train_seed).scaled(config.estimators)
-    model = train_ensemble(train, val, config=ens_config)
+    model = train_ensemble(
+        train, val, EnsembleConfig.default(config.train_seed, config.estimators))
     if config.threshold_override is not None:
         model = replace(model, threshold=config.threshold_override)
     metrics = evaluate_classifier(model, test)
     with _OutputGuard() as guard:
         save_model(model, guard.track(_model_path(config)))
-        save_training_report(model, val, guard.track(config.out(TRAIN_REPORT_FILE)))
+        _write_json(guard.track(config.out(TRAIN_REPORT_FILE)), training_report(model, val))
     return model, metrics
 
 

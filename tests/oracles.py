@@ -406,6 +406,66 @@ def logistic_newton_primal(X: np.ndarray, y, w, C: float,
 
 
 # ---------------------------------------------------------------------------
+# Stratified row cuts: one per-class shuffle-and-deal loop per cut, each
+# returning sorted row indices. A class below the minimum raises ValueError.
+
+
+def largest_remainder(n: int, fractions) -> list[int]:
+    exact = [n * f for f in fractions]
+    floors = [int(math.floor(e)) for e in exact]
+    short = n - sum(floors)
+    order = sorted(range(len(fractions)), key=lambda i: (-(exact[i] - floors[i]), i))
+    for i in order[:short]:
+        floors[i] += 1
+    return floors
+
+
+def stratified_split_rows(labels, fractions, seed: int) -> list[np.ndarray]:
+    """(train, val, test) rows: each class allocated by largest remainder."""
+    rng = np.random.default_rng(seed)
+    parts: list[list[np.ndarray]] = [[], [], []]
+    for cls in (0, 1):
+        rows = np.flatnonzero(labels == cls)
+        if rows.size < 3:
+            raise ValueError(f"class {cls} has {rows.size} samples, need at least 3")
+        rows = rng.permutation(rows)
+        counts = largest_remainder(rows.size, fractions)
+        start = 0
+        for part, count in zip(parts, counts):
+            part.append(rows[start : start + count])
+            start += count
+    return [np.sort(np.concatenate(part)) for part in parts]
+
+
+def fold_rows(labels, folds: int, seed: int) -> list[np.ndarray]:
+    """Cross-validation folds: each class dealt by ``np.array_split``."""
+    rng = np.random.default_rng(seed)
+    chunks_per_fold: list[list[np.ndarray]] = [[] for _ in range(folds)]
+    for cls in (0, 1):
+        rows = np.flatnonzero(labels == cls)
+        if rows.size < folds:
+            raise ValueError(f"class {cls} has {rows.size} samples, need at least {folds}")
+        rows = rng.permutation(rows)
+        for i, chunk in enumerate(np.array_split(rows, folds)):
+            chunks_per_fold[i].append(chunk)
+    return [np.sort(np.concatenate(chunks)) for chunks in chunks_per_fold]
+
+
+def carve_rows(labels, rng_seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """(train, val) rows of a fold's 90/10 carve-out: half-up 10% of each
+    class, at least one row, goes to val."""
+    rng = np.random.default_rng(rng_seed)
+    val_rows = []
+    for cls in (0, 1):
+        rows = np.flatnonzero(labels == cls)
+        count = max(1, int(math.floor(rows.size * 0.1 + 0.5)))
+        val_rows.append(rng.permutation(rows)[:count])
+    val_mask = np.zeros(labels.size, dtype=bool)
+    val_mask[np.concatenate(val_rows)] = True
+    return np.flatnonzero(~val_mask), np.flatnonzero(val_mask)
+
+
+# ---------------------------------------------------------------------------
 # Feature CSV
 
 

@@ -16,22 +16,21 @@ from lineuplab.failpred import (
     EnsembleModel,
     RebalanceSpec,
     THRESHOLD_GRID,
+    cohort_specs,
     cross_validate,
     dataset_from_arrays,
     evaluate_classifier,
     load_model,
     optimize_threshold,
-    precision_cohort_specs,
     rebalance,
-    recall_cohort_specs,
     save_model,
-    save_training_report,
     stratified_split,
     train_base,
     train_ensemble,
+    training_report,
 )
 from lineuplab.failpred.ensemble import Metrics, binary_metrics, threshold_score
-from lineuplab.failpred import learners, model_io
+from lineuplab.failpred import ensemble, learners, model_io
 from lineuplab.failpred.learners import (
     Tree,
     TreeParams,
@@ -442,7 +441,7 @@ def _golden_bytes(case: str, tmp_path) -> bytes:
     if case == "ensemble":
         data = dataset_from_arrays(X, y)
         train, val, _ = stratified_split(data, seed=4)
-        path = save_model(train_ensemble(train, val, EnsembleConfig.default(6).scaled(4)),
+        path = save_model(train_ensemble(train, val, EnsembleConfig.default(6, 4)),
                           tmp_path / "model.json")
         return path.read_bytes()
     family, seed, min_leaf, class_weight = case.split("-")
@@ -610,7 +609,7 @@ def test_threshold_score_penalty():
 
 def test_precision_cohort_plan():
     pairs = [(i, 1000 + i) for i in range(10)]
-    specs = precision_cohort_specs(pairs)
+    specs = cohort_specs("precision", pairs, 100)
     assert len(specs) == 10
     families = ("logistic", "gradient_boosting", "random_forest", "xgb_style")
     for i, (spec, cfg) in enumerate(specs):
@@ -627,7 +626,7 @@ def test_precision_cohort_plan():
 
 def test_recall_cohort_plan():
     pairs = [(2 * i, 2 * i + 1) for i in range(10)]
-    specs = recall_cohort_specs(pairs)
+    specs = cohort_specs("recall", pairs, 100)
     assert len(specs) == 10
     families = ("logistic", "extra_trees", "random_forest", "xgb_style")
     for i, (spec, cfg) in enumerate(specs):
@@ -652,9 +651,9 @@ def test_default_config_is_deterministic_in_seed():
 
 
 def test_scaled_caps_estimators():
-    config = EnsembleConfig.default(0).scaled(6)
+    config = EnsembleConfig.default(0, 6)
     assert all(c.n_estimators == 6 for _, c in config.precision + config.recall)
-    huge = EnsembleConfig.default(0).scaled(500)
+    huge = EnsembleConfig.default(0, 500)
     assert all(c.n_estimators == 100 for _, c in huge.precision + huge.recall)
 
 
@@ -666,7 +665,7 @@ def test_scaled_caps_estimators():
 def trained():
     data = labeled_blobs(np.random.default_rng(51), n=400, failures=100, sep=2.5)
     train, val, test = stratified_split(data, seed=3)
-    config = EnsembleConfig.default(11).scaled(16)
+    config = EnsembleConfig.default(11, 16)
     model = train_ensemble(train, val, config=config)
     return SimpleNamespace(model=model, train=train, val=val, test=test, config=config)
 
@@ -699,7 +698,7 @@ def test_train_ensemble_surfaces_rebalance_shortage():
     data = labeled_blobs(np.random.default_rng(52), n=100, failures=40)
     val = labeled_blobs(np.random.default_rng(53), n=20, failures=8)
     with pytest.raises(DataError, match="successes"):
-        train_ensemble(data, val, config=EnsembleConfig.default(0).scaled(2))
+        train_ensemble(data, val, config=EnsembleConfig.default(0, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -775,10 +774,8 @@ def test_load_model_file_errors(trained, tmp_path):
         load_model(saved)
 
 
-def test_training_report_contents(trained, tmp_path):
-    path = tmp_path / "report.json"
-    save_training_report(trained.model, trained.val, path)
-    report = json.loads(path.read_text())
+def test_training_report_contents(trained):
+    report = training_report(trained.model, trained.val)
     assert report["threshold"] == trained.model.threshold
     grid = [row["threshold"] for row in report["grid_scores"]]
     assert len(grid) == 50 and grid == sorted(grid)
@@ -796,7 +793,7 @@ def test_training_report_contents(trained, tmp_path):
 
 def test_cross_validate_stability_and_shape():
     data = labeled_blobs(np.random.default_rng(60), n=150, failures=45)
-    config = EnsembleConfig.default(5).scaled(4)
+    config = EnsembleConfig.default(5, 4)
     report = cross_validate(config, data, folds=3, seed=2)
     assert len(report.per_fold) == 3
     fold_total = sum(m.tp + m.fp + m.fn + m.tn for m in report.per_fold)
@@ -813,3 +810,91 @@ def test_cross_validate_rejects_small_class():
     data = labeled_blobs(np.random.default_rng(61), n=63, failures=3)
     with pytest.raises(DataError, match="need at least 5"):
         cross_validate(EnsembleConfig.default(0), data, folds=5, seed=0)
+    with pytest.raises(DataError, match="at least 2 folds"):
+        cross_validate(EnsembleConfig.default(0), data, folds=1, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# One stratified cut: split, folds and carve-out against the per-class loops
+
+
+def _cut_label_vectors():
+    """40 seeded label vectors of 10 to 90 rows with at least 5 rows per
+    class, then one vector per class and count 2, 3 and 5: a class exactly at
+    the minimum of the split (3) and of 2, 3 and 5 folds."""
+    vectors = []
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(10, 91))
+        failures = int(rng.integers(5, n - 4))
+        vectors.append(rng.permutation(np.arange(n) < failures).astype(np.int8))
+    rng = np.random.default_rng(40)
+    for small in (2, 3, 5):
+        for cls in (0, 1):
+            labels = np.full(small + 13, 1 - cls, dtype=np.int8)
+            labels[:small] = cls
+            vectors.append(rng.permutation(labels))
+    return vectors
+
+
+CUT_LABELS = _cut_label_vectors()
+
+
+def _rows(part) -> list[int]:
+    return [int(i) for i in part.ids]
+
+
+def _assert_cut_matches(cut, oracle):
+    """Both raise for a class under the minimum, or both give the same rows."""
+    try:
+        want = oracle()
+    except ValueError as exc:
+        with pytest.raises(DataError, match=str(exc)):
+            cut()
+        return
+    assert cut() == [rows.tolist() for rows in want]
+
+
+def test_stratified_split_matches_the_per_class_loop():
+    for seed, labels in enumerate(CUT_LABELS):
+        data = dataset_from_arrays(np.zeros((labels.size, 1)), labels)
+        _assert_cut_matches(
+            lambda: [_rows(part) for part in stratified_split(data, seed=seed)],
+            lambda: oracles.stratified_split_rows(labels, (0.72, 0.08, 0.20), seed))
+
+
+@pytest.mark.parametrize("folds", [2, 3, 5])
+def test_cross_validate_folds_and_carve_outs_match_the_per_class_loops(folds, monkeypatch):
+    fits = []  # (inner train, inner val, held-out fold) per fold
+    monkeypatch.setattr(ensemble, "train_ensemble", lambda train, val, config: (train, val))
+
+    def record(parts, test):
+        fits.append((*parts, test))
+        return Metrics(1.0, 1.0, 1.0, 1, 0, 0, 0)
+
+    monkeypatch.setattr(ensemble, "evaluate_classifier", record)
+    config = EnsembleConfig.default(0, 1)
+    for seed, labels in enumerate(CUT_LABELS):
+        data = dataset_from_arrays(np.zeros((labels.size, 1)), labels)
+        fits.clear()
+
+        def cut():
+            cross_validate(config, data, folds=folds, seed=seed)
+            return [_rows(test) for _, _, test in fits]
+
+        _assert_cut_matches(cut, lambda: oracles.fold_rows(labels, folds, seed))
+        for held, (inner_train, inner_val, test) in enumerate(fits):
+            fit_rows = np.setdiff1d(np.arange(labels.size), _rows(test))
+            want_train, want_val = oracles.carve_rows(labels[fit_rows], seed + held + 1)
+            assert _rows(inner_train) == fit_rows[want_train].tolist()
+            assert _rows(inner_val) == fit_rows[want_val].tolist()
+
+
+def test_carve_validation_matches_the_per_class_loop():
+    # An empty class and a one-row class have at most their own rows to give.
+    edge = [np.zeros(12, np.int8), np.ones(7, np.int8), np.array([1] + [0] * 9, np.int8)]
+    for seed, labels in enumerate(CUT_LABELS + edge):
+        data = dataset_from_arrays(np.zeros((labels.size, 1)), labels)
+        _assert_cut_matches(
+            lambda: [_rows(part) for part in ensemble._carve_validation(data, rng_seed=seed)],
+            lambda: oracles.carve_rows(labels, seed))

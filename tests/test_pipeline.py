@@ -4,6 +4,7 @@ the full command chain on a small synthetic workspace."""
 import csv
 import hashlib
 import json
+import re
 import shutil
 from dataclasses import replace
 from pathlib import Path
@@ -121,6 +122,9 @@ def test_config_file_errors(tmp_path):
     ({"train.seed": "-1"}, "train.seed"),
     ({"hook.timeout": "inf"}, "hook.timeout"),
     ({"hook.timeout": "1e7"}, "hook.timeout"),
+    ({"curation.dark_threshold": "nan"}, "curation.dark_threshold"),
+    ({"curation.bright_threshold": "nan"}, "curation.bright_threshold"),
+    ({"curation.blur_threshold": "nan"}, "curation.blur_threshold"),
 ])
 def test_config_validation_errors(overrides, message, tmp_path):
     with pytest.raises(ConfigError, match=message):
@@ -183,6 +187,10 @@ def test_hook_requires_both_placeholders():
         RestorationHook("restore.sh {input}")
     with pytest.raises(ConfigError, match="placeholders"):
         RestorationHook("restore.sh {output}")
+    # A template that shell-style splitting cannot parse fails here, not
+    # when the first image is restored.
+    with pytest.raises(ConfigError, match="No closing quotation"):
+        RestorationHook('cp "{input} {output}')
 
 
 def test_hook_copies_image(tmp_path):
@@ -924,6 +932,73 @@ def test_cli_report_rejects_malformed_comparison_exits_2(tmp_path, capsys, conte
     assert cli.main(["report", "--paths.output", str(out)]) == 2
     assert "comparison.json" in capsys.readouterr().err
     assert [p.name for p in out.iterdir()] == [COMPARISON_FILE]
+
+
+@pytest.mark.parametrize("field, value", [
+    ("fillers", "abcde"),
+    ("fillers", [1, 2, 3, 4, 5]),
+    ("source", ["s00x0"]),
+    ("source", {"id": "s00x0"}),
+    ("probe", 7),
+    ("seed", 1.9),
+    ("seed", True),
+], ids=["fillers_string", "fillers_numbers", "source_list", "source_object", "probe_number",
+        "seed_float", "seed_bool"])
+def test_compare_rejects_manifest_entries_of_the_wrong_type(chain, tmp_path, capsys,
+                                                             field, value):
+    out = tmp_path / "out"
+    out.mkdir()
+    manifest = (chain.out / MANIFEST_FILE).read_text().splitlines(keepends=True)
+    manifest[1] = json.dumps({**json.loads(manifest[1]), field: value}) + "\n"
+    (out / MANIFEST_FILE).write_text("".join(manifest))
+    shutil.copy(chain.out / RESULTS_FILE, out / RESULTS_FILE)
+    code = cli.main(["compare", "--config", str(chain.ws.config), "--paths.output", str(out)])
+    assert code == 2
+    assert f"{MANIFEST_FILE}:2: malformed lineup entry ('{field}' must be" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == [MANIFEST_FILE, RESULTS_FILE]
+
+
+def _damage_model(payload: dict, edit: str) -> None:
+    """One edit of a saved model: a tree reading a feature or child that does
+    not exist, a child pointing at its own node, a boosted tree without
+    values, or a logistic coef or standardizer std of the wrong length."""
+    learners = payload["cohorts"]["precision"] + payload["cohorts"]["recall"]
+    params = {o["params"]["kind"]: o["params"] for o in learners}
+    tree = params["boosted"]["trees"][0]
+    node = next(i for i, f in enumerate(tree["feature"]) if f >= 0)
+    if edit == "tree_feature":
+        tree["feature"][node] = 9999
+    elif edit == "tree_child":
+        tree["left"][node] = 9999
+    elif edit == "self_loop":
+        tree["left"][node] = node
+    elif edit == "boosted_value":
+        tree["value"] = []
+    elif edit == "logistic_coef":
+        params["logistic"]["coef"] = params["logistic"]["coef"][:3]
+    else:
+        payload["standardizer"]["std"] = payload["standardizer"]["std"][:-1]
+
+
+@pytest.mark.parametrize("edit", ["tree_feature", "tree_child", "self_loop", "boosted_value",
+                                  "logistic_coef", "short_std"])
+def test_damaged_model_is_refused_at_load(chain, tmp_path, capsys, edit):
+    payload = json.loads((chain.out / MODEL_FILE).read_text())
+    _damage_model(payload, edit)
+    model = tmp_path / MODEL_FILE
+    model.write_text(json.dumps(payload))
+    with pytest.raises(DataError, match=f"{re.escape(str(model))}: .*rerun 'train'"):
+        load_model(model)
+    if edit == "self_loop":
+        return  # predicting with this model would never return before the check
+    out = tmp_path / "out"
+    out.mkdir()
+    shutil.copy(chain.out / FEATURES_FILE, out / FEATURES_FILE)
+    code = cli.main(["predict", "--config", str(chain.ws.config), "--paths.output", str(out),
+                     "--paths.model", str(model)])
+    assert code == 2
+    assert "rerun 'train'" in capsys.readouterr().err
+    assert not (out / PREDICTIONS_FILE).exists()
 
 
 # ---------------------------------------------------------------------------
