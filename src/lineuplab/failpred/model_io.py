@@ -46,10 +46,22 @@ def _tree_to_obj(tree: Tree) -> dict:
     }
 
 
+# the JSON types a stored tree's entries may have: bool is not an int here
+_TREE_ENTRY_TYPES = {"feature": {int}, "left": {int}, "right": {int},
+                     "threshold": {int, float}, "value": {int, float}}
+
+
 def _tree_from_obj(obj: dict, dim: int) -> Tree:
     """A stored tree whose descent ends: every split node reads a feature
     in [0, dim) and sends both children to later nodes, the order in which
-    ``grow_tree`` allocates them."""
+    ``grow_tree`` allocates them. Indices are JSON integers and thresholds
+    and values JSON numbers; a fractional, string or boolean entry would
+    otherwise load as some other number."""
+    for name, types in _TREE_ENTRY_TYPES.items():
+        entries = obj[name]
+        if not isinstance(entries, list) or not {type(e) for e in entries} <= types:
+            kind = "integers" if types == {int} else "numbers"
+            raise DataError(f"tree {name} entries must be JSON {kind} (rerun 'train')")
     tree = Tree(
         feature=np.asarray(obj["feature"], dtype=np.int32),
         threshold=np.asarray(obj["threshold"], dtype=np.float64),

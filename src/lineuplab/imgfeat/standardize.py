@@ -1,7 +1,10 @@
 """Z-score standardization with an explicit zero-variance rule.
 
 Means and standard deviations are population statistics over the training
-rows. Dimensions with zero spread standardize to 0 for every input.
+rows. Dimensions with zero spread standardize to +0.0 for every input.
+``transform`` allocates one output array of the input's shape and never
+writes its input, so scoring a matrix holds the matrix and one
+standardized copy.
 """
 
 from __future__ import annotations
@@ -26,9 +29,10 @@ class Standardizer:
         values = np.asarray(values, dtype=np.float64)
         if values.shape[-1] != self.dim:
             raise DataError(f"expected {self.dim} dimensions, got {values.shape[-1]}")
-        out = values - self.mean
         nonzero = self.std > 0.0
-        out = np.where(nonzero, out / np.where(nonzero, self.std, 1.0), 0.0)
+        out = values - self.mean
+        out /= np.where(nonzero, self.std, 1.0)
+        out[..., ~nonzero] = 0.0
         return out
 
 

@@ -491,10 +491,9 @@ def _load_model_with_override(config: PipelineConfig):
     return model
 
 
-def _predict(config: PipelineConfig, features):
+def _predict(model, features):
     """(source id, failure probability, predicted failure) per row of
     ``features``, a ``read_feature_csv`` triple."""
-    model = _load_model_with_override(config)
     ids, _, matrix = features
     proba = model.predict_proba(matrix)
     return list(zip(ids, proba.tolist(), (proba >= model.threshold).tolist()))
@@ -511,7 +510,8 @@ def _write_predictions(config: PipelineConfig, guard: _OutputGuard, predictions)
 
 def run_predict(config: PipelineConfig):
     """Per-lineup failure probabilities and decisions from stored features."""
-    predictions = _predict(config, _stored_features(config))
+    features = _stored_features(config)
+    predictions = _predict(_load_model_with_override(config), features)
     with _OutputGuard() as guard:
         _write_predictions(config, guard, predictions)
     return predictions
@@ -521,10 +521,10 @@ def run_predict(config: PipelineConfig):
 # Restore / compare
 
 
-def run_hook(config: PipelineConfig, member_ids) -> dict[ImageId, HookRecord]:
-    """Invoke the configured restoration hook once per unique member image."""
+def run_hook(config: PipelineConfig, hook: RestorationHook,
+             member_ids) -> dict[ImageId, HookRecord]:
+    """Invoke the restoration hook once per unique member image."""
     images_dir = _require(config, "paths.images")
-    hook = RestorationHook(config.hook_command, config.hook_timeout)
     restored_dir = config.out("restored_images")
     restored_dir.mkdir(parents=True, exist_ok=True)
     records: dict[ImageId, HookRecord] = {}
@@ -634,21 +634,21 @@ def _stored_lineups(config: PipelineConfig) -> tuple[list[Lineup], list[LineupRe
     return lineups, results
 
 
-def _rerank(config: PipelineConfig, results, predictions=None) -> ComparisonBundle:
+def _rerank(config: PipelineConfig, results, predictions=None,
+            hook: RestorationHook | None = None) -> ComparisonBundle:
     """Re-rank ``results`` against the restored corpus and commit the report
     set. ``predictions``, the rows of ``_predict``, marks the restore call:
-    they are committed with the reports, and with a configured hook command
-    the hook first runs over every member image; an image whose run failed
-    is left out of the restored corpus, and the hook status is committed
-    with the reports too."""
+    they are committed with the reports. A ``hook`` first runs over every
+    member image; an image whose run failed is left out of the restored
+    corpus, and the hook status is committed with the reports too."""
     original = _corpus(config)
     restored = _corpus(config, "paths.embeddings_restored")
     if restored.dim != original.dim:
         raise DataError(f"{config.embeddings_restored}: restored embeddings have dimension "
                         f"{restored.dim}, the original corpus {original.dim}")
     records = None
-    if predictions is not None and config.hook_command:
-        records = run_hook(config, [m for r in results for m in r.lineup.members])
+    if hook is not None:
+        records = run_hook(config, hook, [m for r in results for m in r.lineup.members])
         failed = {image_id for image_id, record in records.items() if not record.ok}
         if failed:
             restored = restored.subset([i for i in restored.ids if i not in failed])
@@ -706,6 +706,13 @@ def run_predict_and_restore(config: PipelineConfig) -> ComparisonBundle:
     """
     # before evaluate or features commit anything
     _require(config, "paths.embeddings_restored")
+    hook = None
+    if config.hook_command:
+        hook = RestorationHook(config.hook_command, config.hook_timeout)
+        _require(config, "paths.images")
+    if not config.out(FEATURES_FILE).is_file():
+        _require(config, "paths.landmarks")
+    model = _load_model_with_override(config)
     if not config.out(MANIFEST_FILE).is_file() or not config.out(RESULTS_FILE).is_file():
         run_evaluate(config)
     lineups, results = _stored_lineups(config)
@@ -713,9 +720,10 @@ def run_predict_and_restore(config: PipelineConfig) -> ComparisonBundle:
         features = _read_checked_features(config, lineups, results)
     else:
         features = _write_features(config)[1]
-    predictions = _predict(config, features)
+    predictions = _predict(model, features)
     flagged = {sid for sid, _, is_failure in predictions if is_failure}
-    return _rerank(config, [r for r in results if r.lineup.source in flagged], predictions)
+    return _rerank(config, [r for r in results if r.lineup.source in flagged], predictions,
+                   hook)
 
 
 # ---------------------------------------------------------------------------

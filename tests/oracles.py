@@ -406,6 +406,20 @@ def logistic_newton_primal(X: np.ndarray, y, w, C: float,
 
 
 # ---------------------------------------------------------------------------
+# Standardization
+
+
+def standardize_where(values, mean, std) -> np.ndarray:
+    """Z-scores by three full-size arrays: the centred values, their
+    quotient by the nonzero stds, and ``np.where``'s +0.0 for every
+    zero-std column."""
+    values = np.asarray(values, dtype=np.float64)
+    out = values - mean
+    nonzero = std > 0.0
+    return np.where(nonzero, out / np.where(nonzero, std, 1.0), 0.0)
+
+
+# ---------------------------------------------------------------------------
 # Stratified row cuts: one per-class shuffle-and-deal loop per cut, each
 # returning sorted row indices. A class below the minimum raises ValueError.
 

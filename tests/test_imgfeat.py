@@ -1,5 +1,6 @@
 import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -417,3 +418,67 @@ def test_standardizer_on_feature_vectors(rng):
 def test_standardizer_empty_raises():
     with pytest.raises(DataError):
         fit_standardizer([])
+
+
+def _bits(a: np.ndarray) -> bytes:
+    return np.ascontiguousarray(a, dtype=np.float64).tobytes()
+
+
+def _with_constant_columns(rng, n: int, d: int) -> np.ndarray:
+    X = rng.normal(size=(n, d)) * rng.uniform(1e-3, 1e3, size=d) + rng.normal(size=d)
+    # an integer sums exactly, so these columns' std is exactly 0
+    X[:, rng.choice(d, size=max(1, d // 4), replace=False)] = rng.integers(-9, 10)
+    return X
+
+
+@pytest.mark.parametrize("n, d", [(1, 1), (2, 3), (40, 7), (257, 31)])
+def test_transform_matches_where_oracle_bit_for_bit(rng, n, d):
+    X = _with_constant_columns(rng, n, d)
+    s = fit_standardizer(X)
+    assert (s.std == 0.0).any()
+    # rows the fit never saw, with signed zeros, huge and non-finite cells
+    probe = np.vstack([X, rng.normal(size=(3, d)) * 1e300,
+                       np.full((1, d), -0.0), np.full((1, d), np.inf),
+                       np.full((1, d), np.nan)])
+    got = s.transform(probe)
+    assert _bits(got) == _bits(oracles.standardize_where(probe, s.mean, s.std))
+    zero = got[:, s.std == 0.0]
+    assert np.all(zero == 0.0) and not np.signbit(zero).any()
+
+
+def test_transform_of_one_row_vector(rng):
+    X = _with_constant_columns(rng, 30, 9)
+    s = fit_standardizer(X)
+    row = rng.normal(size=9)
+    got = s.transform(row)
+    assert got.shape == (9,)
+    assert _bits(got) == _bits(oracles.standardize_where(row, s.mean, s.std))
+    assert _bits(got) == _bits(s.transform(row[None, :])[0])
+    assert not np.signbit(got[s.std == 0.0]).any()
+
+
+def test_transform_never_writes_its_input(rng):
+    X = _with_constant_columns(rng, 50, 12)
+    s = fit_standardizer(X)
+    before = X.tobytes()
+    Z = s.transform(X)
+    assert X.tobytes() == before
+    assert not np.shares_memory(Z, X)
+    X.flags.writeable = False
+    assert _bits(s.transform(X)) == _bits(Z)
+
+
+def test_transform_allocates_one_output(rng):
+    n, d = 2000, 160
+    X = _with_constant_columns(rng, n, d)
+    s = fit_standardizer(X)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        Z = s.transform(X)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert Z.nbytes == n * d * 8
+    assert peak <= 1.1 * n * d * 8

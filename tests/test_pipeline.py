@@ -232,10 +232,9 @@ def test_run_hook_rejects_ids_that_leave_their_directory(tmp_path):
     images = tmp_path / "images"
     images.mkdir()
     (tmp_path / "escape.pgm").write_bytes(b"P5\n3 3\n255\n" + bytes(9))
-    config = PipelineConfig(images=str(images), output=str(tmp_path / "out"),
-                            hook_command="cp {input} {output}")
+    config = PipelineConfig(images=str(images), output=str(tmp_path / "out"))
     with pytest.raises(DataError, match="escape"):
-        pipeline.run_hook(config, ["../escape"])
+        pipeline.run_hook(config, RestorationHook("cp {input} {output}"), ["../escape"])
     assert not (tmp_path / "out" / "escape.pgm").exists()
 
 
@@ -961,7 +960,9 @@ def test_compare_rejects_manifest_entries_of_the_wrong_type(chain, tmp_path, cap
 def _damage_model(payload: dict, edit: str) -> None:
     """One edit of a saved model: a tree reading a feature or child that does
     not exist, a child pointing at its own node, a boosted tree without
-    values, or a logistic coef or standardizer std of the wrong length."""
+    values, a logistic coef or standardizer std of the wrong length, or a
+    tree entry of the wrong JSON type (a fractional, string or boolean
+    index; a string or boolean threshold or value)."""
     learners = payload["cohorts"]["precision"] + payload["cohorts"]["recall"]
     params = {o["params"]["kind"]: o["params"] for o in learners}
     tree = params["boosted"]["trees"][0]
@@ -976,12 +977,28 @@ def _damage_model(payload: dict, edit: str) -> None:
         tree["value"] = []
     elif edit == "logistic_coef":
         params["logistic"]["coef"] = params["logistic"]["coef"][:3]
-    else:
+    elif edit == "short_std":
         payload["standardizer"]["std"] = payload["standardizer"]["std"][:-1]
+    elif edit == "feature_fraction":
+        tree["feature"][node] += 0.7
+    elif edit == "feature_string":
+        tree["feature"][node] = str(tree["feature"][node])
+    elif edit == "feature_bool":
+        tree["feature"][node] = True
+    elif edit == "child_bool":
+        tree["left"][node] = True
+    elif edit == "child_float":
+        tree["right"][node] = float(tree["right"][node])
+    elif edit == "threshold_string":
+        tree["threshold"][node] = repr(tree["threshold"][node])
+    else:
+        tree["value"][tree["feature"].index(-1)] = True
 
 
 @pytest.mark.parametrize("edit", ["tree_feature", "tree_child", "self_loop", "boosted_value",
-                                  "logistic_coef", "short_std"])
+                                  "logistic_coef", "short_std", "feature_fraction",
+                                  "feature_string", "feature_bool", "child_bool",
+                                  "child_float", "threshold_string", "value_bool"])
 def test_damaged_model_is_refused_at_load(chain, tmp_path, capsys, edit):
     payload = json.loads((chain.out / MODEL_FILE).read_text())
     _damage_model(payload, edit)
@@ -999,6 +1016,43 @@ def test_damaged_model_is_refused_at_load(chain, tmp_path, capsys, edit):
     assert code == 2
     assert "rerun 'train'" in capsys.readouterr().err
     assert not (out / PREDICTIONS_FILE).exists()
+
+
+@pytest.mark.parametrize("fault, code, message", [
+    ("hook_placeholder", 1, "placeholders"),
+    ("hook_quote", 1, "No closing quotation"),
+    ("missing_images", 1, "paths.images: path does not exist"),
+    ("missing_landmarks", 1, "paths.landmarks: path does not exist"),
+    ("missing_model", 1, "model artifact not found"),
+    ("damaged_model", 2, "rerun 'train'"),
+])
+def test_restore_checks_its_inputs_before_committing(chain, tmp_path, capsys,
+                                                      fault, code, message):
+    # a fresh output directory: restore would first run evaluate and features
+    out = tmp_path / "out"
+    out.mkdir()
+    model = chain.out / MODEL_FILE
+    hook = f"sh {chain.ws.ok_hook} {{input}} {{output}}"
+    extra = []
+    if fault == "hook_placeholder":
+        hook = "cp {input}"
+    elif fault == "hook_quote":
+        hook = 'cp "{input} {output}'
+    elif fault == "missing_images":
+        extra = ["--paths.images", str(tmp_path / "no_images")]
+    elif fault == "missing_landmarks":
+        extra = ["--paths.landmarks", str(tmp_path / "no_landmarks.jsonl")]
+    elif fault == "missing_model":
+        model = tmp_path / "absent.json"
+    else:
+        payload = json.loads(model.read_text())
+        _damage_model(payload, "tree_feature")
+        model = tmp_path / MODEL_FILE
+        model.write_text(json.dumps(payload))
+    assert cli.main(["restore", "--config", str(chain.ws.config), "--paths.output", str(out),
+                     "--paths.model", str(model), "--hook.command", hook, *extra]) == code
+    assert message in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------
