@@ -9,10 +9,36 @@ usage error, 2 data error, 3 restoration hook failure.
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
 
+from lineuplab.config import CONFIG_LEAVES, PipelineConfig, load_config
 from lineuplab.errors import ConfigError, DataError, HookError
-from lineuplab import pipeline
+
+# command -> (help text, module, function). The module is imported only when
+# its command runs, so a command loads only the code it uses.
+COMMANDS = {
+    "ingest": ("validate a corpus file and rewrite it in a chosen container format",
+               "lineuplab.stages.ingest", "run_ingest"),
+    "curate": ("drop images failing quality gates; write the curated corpus",
+               "lineuplab.stages.ingest", "run_curate"),
+    "index": ("build and persist the exact search index",
+              "lineuplab.stages.search", "run_index"),
+    "evaluate": ("build lineups, rank probes, and write the accuracy summary",
+                 "lineuplab.stages.search", "run_evaluate"),
+    "features": ("extract per-lineup (or per-image) feature vectors to CSV",
+                 "lineuplab.stages.learning", "run_features"),
+    "train": ("train the failure-prediction ensemble from a feature CSV",
+              "lineuplab.stages.learning", "run_train"),
+    "predict": ("score stored features with a trained model",
+                "lineuplab.stages.learning", "run_predict"),
+    "restore": ("predict failures, run the restoration hook, and re-rank",
+                "lineuplab.stages.learning", "run_predict_and_restore"),
+    "compare": ("re-rank stored lineups against restored embeddings",
+                "lineuplab.stages.search", "run_compare"),
+    "report": ("re-render the CSV reports from a stored comparison JSON",
+               "lineuplab.report", "run_report"),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -22,53 +48,46 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", metavar="FILE", help="JSON configuration file")
-    for dotted in pipeline.CONFIG_LEAVES:
-        parser.add_argument(f"--{dotted}", dest=dotted, metavar="VALUE", default=None)
-
-
-def _config_from(args: argparse.Namespace) -> pipeline.PipelineConfig:
-    overrides = {dotted: getattr(args, dotted) for dotted in pipeline.CONFIG_LEAVES
+def _config_from(args: argparse.Namespace) -> PipelineConfig:
+    overrides = {dotted: getattr(args, dotted) for dotted in CONFIG_LEAVES
                  if getattr(args, dotted) is not None}
-    return pipeline.load_config(args.config, overrides)
+    return load_config(args.config, overrides)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``lineuplab`` parser. ``--config`` and the config leaf flags go on
+    the subparser of ``command`` only: a process runs one command, and the
+    flags of the other nine would cost most of the parser's build time."""
     parser = _Parser(prog="lineuplab", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
     sub.required = True
-
-    commands = {
-        "ingest": "validate a corpus file and rewrite it in a chosen container format",
-        "curate": "drop images failing quality gates; write the curated corpus",
-        "index": "build and persist the exact search index",
-        "evaluate": "build lineups, rank probes, and write the accuracy summary",
-        "features": "extract per-lineup (or per-image) feature vectors to CSV",
-        "train": "train the failure-prediction ensemble from a feature CSV",
-        "predict": "score stored features with a trained model",
-        "restore": "predict failures, run the restoration hook, and re-rank",
-        "compare": "re-rank stored lineups against restored embeddings",
-        "report": "re-render the CSV reports from a stored comparison JSON",
-    }
-    parsers = {}
-    for name, help_text in commands.items():
-        parsers[name] = sub.add_parser(name, help=help_text, description=help_text)
-        _add_common(parsers[name])
-    parsers["ingest"].add_argument(
-        "--format", choices=("binary", "jsonl"), default="binary",
-        help="output container format (default: binary)",
-    )
+    for name, (help_text, _, _) in COMMANDS.items():
+        subparser = sub.add_parser(name, help=help_text, description=help_text)
+        if name != command:
+            continue
+        subparser.add_argument("--config", metavar="FILE", help="JSON configuration file")
+        for dotted in CONFIG_LEAVES:
+            subparser.add_argument(f"--{dotted}", dest=dotted, metavar="VALUE", default=None)
+        if name == "ingest":
+            subparser.add_argument(
+                "--format", choices=("binary", "jsonl"), default="binary",
+                help="output container format (default: binary)",
+            )
     return parser
+
+
+def command_function(command: str):
+    """The function that runs ``command``. It is looked up by name on every
+    run, so a wrapper rebound onto the module attribute (a tracer, a test
+    double) is the function that runs."""
+    _, module, name = COMMANDS[command]
+    return getattr(importlib.import_module(module), name)
 
 
 def _run(args: argparse.Namespace) -> int:
     config = _config_from(args)
     command = args.command
-    # Looked up on every run, so a wrapper rebound onto the module attribute
-    # (a tracer, a test double) is the function that runs.
-    run = getattr(pipeline, "run_predict_and_restore" if command == "restore"
-                  else f"run_{command}")
+    run = command_function(command)
     result = run(config, fmt=args.format) if command == "ingest" else run(config)
     if command in ("ingest", "index", "features"):
         print(f"wrote {result}")
@@ -100,8 +119,9 @@ def _run(args: argparse.Namespace) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a command is the first argument: the top-level parser takes only -h
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return _run(args)
     except ConfigError as exc:

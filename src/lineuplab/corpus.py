@@ -42,7 +42,7 @@ from pathlib import Path
 
 import numpy as np
 
-from lineuplab import filters
+from lineuplab.config import CurationConfig
 from lineuplab.errors import DataError, open_text
 
 ImageId = str
@@ -444,15 +444,6 @@ def image_path(directory, image_id: ImageId) -> Path:
 
 
 @dataclass(frozen=True)
-class CurationConfig:
-    """Thresholds for the mechanical curation rules."""
-
-    dark_threshold: float = 30.0     # mean intensity below this is TOO_DARK
-    bright_threshold: float = 225.0  # mean intensity above this is TOO_BRIGHT
-    blur_threshold: float = 15.0     # Laplacian variance below this is TOO_BLURRY
-
-
-@dataclass(frozen=True)
 class CurationReport:
     removed: tuple[tuple[ImageId, str], ...]
     retained: CorpusHandle
@@ -484,6 +475,8 @@ def curate(corpus: CorpusHandle, landmarks: LandmarkTable, images_dir,
 
 
 def _curation_reason(image_id, landmarks, images_dir, rules) -> str | None:
+    from lineuplab import filters  # only curation needs the image kernels
+
     path = image_path(images_dir, image_id)
     if not path.is_file():
         return NO_IMAGE

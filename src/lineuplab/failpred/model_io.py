@@ -15,6 +15,7 @@ float64 exactly, so a save/load cycle preserves predictions bit for bit.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -49,6 +50,24 @@ def _tree_to_obj(tree: Tree) -> dict:
 # the JSON types a stored tree's entries may have: bool is not an int here
 _TREE_ENTRY_TYPES = {"feature": {int}, "left": {int}, "right": {int},
                      "threshold": {int, float}, "value": {int, float}}
+
+
+def _number(value, name: str) -> float:
+    """A finite JSON number: a bool or a numeric string would otherwise load
+    as some number, and a nan or inf would make every prediction nan."""
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise DataError(f"{name} must be a finite JSON number, got {value!r} (rerun 'train')")
+    return float(value)
+
+
+def _numbers(values, name: str) -> np.ndarray:
+    """A list of finite JSON numbers, as float64."""
+    if not isinstance(values, list) or not {type(v) for v in values} <= {int, float}:
+        raise DataError(f"{name} entries must be JSON numbers (rerun 'train')")
+    array = np.asarray(values, dtype=np.float64)
+    if not np.isfinite(array).all():
+        raise DataError(f"{name} entries must be finite (rerun 'train')")
+    return array
 
 
 def _tree_from_obj(obj: dict, dim: int) -> Tree:
@@ -103,19 +122,19 @@ def _model_to_obj(model) -> dict:
 def _model_from_obj(obj: dict, dim: int):
     kind = obj.get("kind")
     if kind == "logistic":
-        coef = np.asarray(obj["coef"], dtype=np.float64)
+        coef = _numbers(obj["coef"], "logistic coef")
         if coef.shape != (dim,):
             raise DataError(f"logistic coef has shape {coef.shape}, the standardizer "
                             f"{dim} dimensions (rerun 'train')")
-        return LogisticModel(coef=coef, intercept=float(obj["intercept"]))
+        return LogisticModel(coef=coef, intercept=_number(obj["intercept"], "logistic intercept"))
     if kind == "forest":
         if not obj["trees"]:
             raise DataError("forest learner has no trees (rerun 'train')")
         return ForestModel(trees=tuple(_tree_from_obj(t, dim) for t in obj["trees"]))
     if kind == "boosted":
         return BoostedModel(
-            f0=float(obj["f0"]),
-            learning_rate=float(obj["learning_rate"]),
+            f0=_number(obj["f0"], "boosted f0"),
+            learning_rate=_number(obj["learning_rate"], "boosted learning_rate"),
             trees=tuple(_tree_from_obj(t, dim) for t in obj["trees"]),
         )
     raise DataError(f"unknown model kind {kind!r} in artifact")
@@ -164,9 +183,10 @@ def save_model(model: EnsembleModel, path) -> Path:
             "recall": [_classifier_to_obj(tc) for tc in model.recall_models],
         },
     }
+    # one dumps call runs the C encoder; json.dump always runs the Python one
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+        fh.write(text + "\n")
     return path
 
 
@@ -185,20 +205,23 @@ def load_model(path) -> EnsembleModel:
         raise DataError(f"{path}: unsupported artifact version {payload.get('version')}")
     try:
         standardizer = Standardizer(
-            mean=np.asarray(payload["standardizer"]["mean"], dtype=np.float64),
-            std=np.asarray(payload["standardizer"]["std"], dtype=np.float64),
+            mean=_numbers(payload["standardizer"]["mean"], "standardizer mean"),
+            std=_numbers(payload["standardizer"]["std"], "standardizer std"),
         )
         dim = standardizer.dim
         if standardizer.mean.shape != (dim,) or standardizer.std.shape != (dim,):
             raise DataError(f"standardizer mean has shape {standardizer.mean.shape} and std "
                             f"{standardizer.std.shape}; they must match (rerun 'train')")
+        if type(payload["seed"]) is not int:
+            raise DataError(f"seed must be a JSON integer, got {payload['seed']!r} "
+                            "(rerun 'train')")
         cohorts = payload["cohorts"]
         return EnsembleModel(
             precision_models=tuple(_classifier_from_obj(o, dim) for o in cohorts["precision"]),
             recall_models=tuple(_classifier_from_obj(o, dim) for o in cohorts["recall"]),
             standardizer=standardizer,
-            threshold=float(payload["threshold"]),
-            seed=int(payload["seed"]),
+            threshold=_number(payload["threshold"], "threshold"),
+            seed=payload["seed"],
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"{path}: incomplete model artifact ({exc})") from None

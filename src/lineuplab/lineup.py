@@ -22,13 +22,19 @@ import numpy as np
 from lineuplab import simindex
 from lineuplab.corpus import CorpusHandle, ImageId, json_objects
 from lineuplab.errors import DataError, open_text
+from lineuplab.report import (  # re-exported: rank-change accounting lives in report
+    CHANGE_RANGE,
+    OutcomeTable,
+    RankChangeRecord,
+    RankChangeReport,
+    change_histogram,
+    summarize_outcomes,
+    write_rank_change_csv,
+)
 from lineuplab.simindex import SearchIndex
 
 FILLER_COUNT = 5
 LINEUP_SIZE = 6
-
-# Rank change is bounded by the lineup size: ranks live in [0, 5].
-CHANGE_RANGE = range(-5, 6)
 
 
 class NoEligibleSources(DataError):
@@ -79,37 +85,6 @@ class AccuracyReport:
     accuracy: float
     results: tuple[LineupResult, ...]
     skipped: tuple[tuple[ImageId, str], ...]
-
-
-@dataclass(frozen=True)
-class RankChangeRecord:
-    lineup_id: ImageId  # the source image id
-    rank_before: int
-    rank_after: int
-
-    @property
-    def change(self) -> int:
-        return self.rank_before - self.rank_after
-
-
-@dataclass(frozen=True)
-class RankChangeReport:
-    per_lineup: tuple[RankChangeRecord, ...]
-    histogram: dict[int, tuple[int, float]]  # change -> (count, percentage)
-    failed: tuple[ImageId, ...]              # lineups missing a restored member
-
-
-@dataclass(frozen=True)
-class OutcomeTable:
-    improvements: int
-    degradations: int
-    unchanged: int
-    success_conversions: int
-    failed_restorations: int
-    total: int
-    percentages: dict[str, float]
-    mean_improvement: float  # mean positive change, 0.0 when none
-    mean_degradation: float  # mean |negative change|, 0.0 when none
 
 
 def draw_probe(candidates, seed: int, source: ImageId) -> ImageId:
@@ -315,59 +290,6 @@ def compare_variants(results_before, original: CorpusHandle,
     )
 
 
-def change_histogram(records) -> dict[int, tuple[int, float]]:
-    total = len(records)
-    counts = {c: 0 for c in CHANGE_RANGE}
-    for rec in records:
-        counts[rec.change] += 1
-    return {
-        c: (n, 100.0 * n / total if total else 0.0)
-        for c, n in counts.items()
-    }
-
-
-def summarize_outcomes(report: RankChangeReport, results_before) -> OutcomeTable:
-    """Roll a rank-change report up into the improvement/degradation table.
-
-    ``results_before`` anchors the accounting: every before-result must end
-    up compared or failed, so the table partitions the total exactly.
-    """
-    changes = [rec.change for rec in report.per_lineup]
-    improvements = sum(1 for c in changes if c > 0)
-    degradations = sum(1 for c in changes if c < 0)
-    unchanged = sum(1 for c in changes if c == 0)
-    conversions = sum(
-        1 for rec in report.per_lineup if rec.rank_before > 0 and rec.rank_after == 0
-    )
-    failed = len(report.failed)
-    total = len(report.per_lineup) + failed
-    if len(results_before) != total:
-        raise DataError(
-            f"outcome accounting mismatch: {len(results_before)} before-results, "
-            f"{total} compared+failed"
-        )
-    pos = [c for c in changes if c > 0]
-    neg = [-c for c in changes if c < 0]
-    pct = lambda n: 100.0 * n / total if total else 0.0
-    return OutcomeTable(
-        improvements=improvements,
-        degradations=degradations,
-        unchanged=unchanged,
-        success_conversions=conversions,
-        failed_restorations=failed,
-        total=total,
-        percentages={
-            "improvements": pct(improvements),
-            "degradations": pct(degradations),
-            "unchanged": pct(unchanged),
-            "success_conversions": pct(conversions),
-            "failed_restorations": pct(failed),
-        },
-        mean_improvement=sum(pos) / len(pos) if pos else 0.0,
-        mean_degradation=sum(neg) / len(neg) if neg else 0.0,
-    )
-
-
 # ---------------------------------------------------------------------------
 # On-disk interchange
 
@@ -454,15 +376,3 @@ def read_results_csv(path, lineups_by_source: dict[ImageId, Lineup]) -> list[Lin
                 success=success == "true",
             ))
     return out
-
-
-def write_rank_change_csv(report: RankChangeReport, path) -> Path:
-    """Histogram CSV, one row per change value from -5 up to +5."""
-    path = Path(path)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["change", "count", "percentage"])
-        for change in sorted(report.histogram):
-            count, pct = report.histogram[change]
-            writer.writerow([f"{change:+d}" if change else "0", count, f"{pct:.1f}"])
-    return path

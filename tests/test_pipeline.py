@@ -4,8 +4,11 @@ the full command chain on a small synthetic workspace."""
 import csv
 import hashlib
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -14,7 +17,7 @@ import numpy as np
 import pytest
 
 import oracles
-from lineuplab import cli, pipeline
+from lineuplab import artifacts, cli, pipeline
 from lineuplab.corpus import (
     ImageGray,
     TOO_DARK,
@@ -28,6 +31,7 @@ from lineuplab.imgfeat import read_feature_csv, write_feature_csv
 from lineuplab.lineup import OutcomeTable, read_lineup_manifest, read_results_csv
 from lineuplab.pipeline import (
     COMPARISON_FILE,
+    CONFIG_LEAVES,
     CURATED_FILE,
     CURATION_REPORT_FILE,
     FEATURES_FILE,
@@ -46,6 +50,8 @@ from lineuplab.pipeline import (
     load_config,
     write_outcome_csv,
 )
+from lineuplab.stages import learning as learning_stages
+from lineuplab.stages import search as search_stages
 
 # ---------------------------------------------------------------------------
 # Configuration
@@ -164,13 +170,13 @@ def test_output_guard_removes_tracked_files_on_failure(tmp_path):
     target = tmp_path / "artifact.txt"
     target.write_text("previous")
     with pytest.raises(KeyboardInterrupt):
-        with pipeline._OutputGuard() as guard:
+        with artifacts.OutputGuard() as guard:
             guard.track(target).write_text("partial")
             raise KeyboardInterrupt
     assert target.read_text() == "previous"
     assert [p.name for p in tmp_path.iterdir()] == ["artifact.txt"]
 
-    with pipeline._OutputGuard() as guard:
+    with artifacts.OutputGuard() as guard:
         temp = guard.track(target)
         assert temp != target
         temp.write_text("complete")
@@ -445,7 +451,7 @@ def test_failed_evaluate_rerun_keeps_previous_artifacts(workspace, tmp_path, mon
         Path(path).write_text("source_id,probe_rank,success\n")
         raise RuntimeError("disk full")
 
-    monkeypatch.setattr(pipeline, "write_results_csv", write_half_then_fail)
+    monkeypatch.setattr(search_stages, "write_results_csv", write_half_then_fail)
     with pytest.raises(RuntimeError, match="disk full"):
         pipeline.run_evaluate(replace(config, lineup_seed=config.lineup_seed + 1))
     assert {name: config.out(name).read_bytes() for name in names} == first
@@ -689,7 +695,7 @@ def test_restore_parses_reused_features_once(chain, tmp_path, monkeypatch):
         parsed.append(Path(path).name)
         return read_feature_csv(path)
 
-    monkeypatch.setattr(pipeline, "read_feature_csv", counting_read)
+    monkeypatch.setattr(learning_stages, "read_feature_csv", counting_read)
     assert cli.main([*args, "--hook.command",
                      f"sh {chain.ws.ok_hook} {{input}} {{output}}"]) == 0
     assert parsed == [FEATURES_FILE]
@@ -835,10 +841,13 @@ def test_outcome_csv_empty_table(tmp_path):
 # CLI exit codes
 
 
-def test_cli_usage_error_exits_1():
+def test_cli_usage_error_exits_1(capsys):
     with pytest.raises(SystemExit) as excinfo:
         cli.main(["not-a-command"])
     assert excinfo.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: lineuplab [-h] COMMAND ...")
+    assert "argument COMMAND: invalid choice: 'not-a-command' (choose from" in err
 
 
 def test_cli_config_error_exits_1(capsys):
@@ -846,6 +855,97 @@ def test_cli_config_error_exits_1(capsys):
     assert "error:" in capsys.readouterr().err
     assert cli.main(["evaluate", "--lineup.seed", "abc"]) == 1
     assert "lineup.seed" in capsys.readouterr().err
+
+
+def _exit_code(argv) -> int:
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(argv)
+    return excinfo.value.code
+
+
+def test_cli_help_lists_every_command(capsys):
+    assert _exit_code(["--help"]) == 0
+    out = capsys.readouterr().out
+    assert [name for name in cli.COMMANDS if not re.search(rf"^ +{name} ", out, re.M)] == []
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_cli_command_help_lists_every_leaf_flag(capsys, command):
+    assert _exit_code([command, "--help"]) == 0
+    out = capsys.readouterr().out
+    flags = ["--config", *(f"--{dotted}" for dotted in CONFIG_LEAVES)]
+    assert [flag for flag in flags if flag not in out] == []
+    assert ("--format" in out) == (command == "ingest")
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_cli_rejects_flags_the_command_does_not_take(capsys, command):
+    assert _exit_code([command, "--no-such-flag", "1"]) == 1
+    assert "lineuplab: error: unrecognized arguments: --no-such-flag 1" in capsys.readouterr().err
+    if command != "ingest":
+        assert _exit_code([command, "--format", "jsonl"]) == 1
+        assert "unrecognized arguments: --format jsonl" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# What each command imports
+
+_LEARNING_MODULES = ("lineuplab.failpred", "lineuplab.imgfeat", "lineuplab.filters",
+                     "subprocess", "concurrent.futures")
+_SEARCH_MODULES = ("lineuplab.simindex", "lineuplab.lineup", "lineuplab.report")
+
+# command -> (modules it must load, modules it must not load)
+_COMMAND_IMPORTS = {
+    "ingest": ((), _LEARNING_MODULES + _SEARCH_MODULES),
+    "curate": (("lineuplab.filters",),
+               ("lineuplab.failpred", "lineuplab.imgfeat") + _SEARCH_MODULES),
+    "index": ((), _LEARNING_MODULES),
+    "evaluate": ((), _LEARNING_MODULES),
+    "features": (("lineuplab.imgfeat",), ()),
+    "train": (("lineuplab.failpred",), ()),
+    "predict": (("lineuplab.failpred",), ()),
+    "restore": (("lineuplab.failpred", "subprocess"), ()),
+    "compare": ((), _LEARNING_MODULES),
+    "report": ((), ("numpy",)),
+}
+
+_LIST_MODULES = """\
+import json, sys
+from lineuplab import cli
+code = cli.main(sys.argv[1:])
+print(json.dumps([code, sorted(sys.modules)]))
+"""
+
+
+@pytest.fixture(scope="module")
+def command_modules(workspace, tmp_path_factory):
+    """Each command of the chain, run in a fresh interpreter: its exit code
+    and the modules loaded when it returned."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = tmp_path_factory.mktemp("imports") / "out"
+    base = ["--config", str(workspace.config), "--paths.output", str(out),
+            "--train.estimators", "2"]
+    hook = ["--hook.command", f"sh {workspace.ok_hook} {{input}} {{output}}"]
+    runs = {}
+    for command in _COMMAND_IMPORTS:
+        argv = [command, *base, *(hook if command == "restore" else [])]
+        proc = subprocess.run([sys.executable, "-c", _LIST_MODULES, *argv],
+                              capture_output=True, text=True, env=env, check=False)
+        assert proc.returncode == 0, proc.stderr
+        code, modules = json.loads(proc.stdout.splitlines()[-1])
+        runs[command] = code, set(modules)
+    return runs
+
+
+@pytest.mark.parametrize("command", list(_COMMAND_IMPORTS))
+def test_each_command_imports_only_what_it_runs(command_modules, command):
+    code, modules = command_modules[command]
+    loaded, not_loaded = _COMMAND_IMPORTS[command]
+    assert code == 0
+    assert [name for name in loaded if name not in modules] == []
+    assert [name for name in not_loaded if name in modules] == []
 
 
 def test_cli_train_creates_the_model_directory(chain, tmp_path):
@@ -962,7 +1062,10 @@ def _damage_model(payload: dict, edit: str) -> None:
     not exist, a child pointing at its own node, a boosted tree without
     values, a logistic coef or standardizer std of the wrong length, or a
     tree entry of the wrong JSON type (a fractional, string or boolean
-    index; a string or boolean threshold or value)."""
+    index; a string or boolean threshold or value), or a non-tree entry that
+    is not a finite JSON number (a nan mean, an infinite coef, a string
+    intercept or threshold, a boolean f0, a null learning rate, a fractional
+    seed)."""
     learners = payload["cohorts"]["precision"] + payload["cohorts"]["recall"]
     params = {o["params"]["kind"]: o["params"] for o in learners}
     tree = params["boosted"]["trees"][0]
@@ -991,6 +1094,20 @@ def _damage_model(payload: dict, edit: str) -> None:
         tree["right"][node] = float(tree["right"][node])
     elif edit == "threshold_string":
         tree["threshold"][node] = repr(tree["threshold"][node])
+    elif edit == "mean_nan":
+        payload["standardizer"]["mean"][0] = float("nan")
+    elif edit == "coef_inf":
+        params["logistic"]["coef"][0] = float("inf")
+    elif edit == "intercept_string":
+        params["logistic"]["intercept"] = repr(params["logistic"]["intercept"])
+    elif edit == "f0_bool":
+        params["boosted"]["f0"] = True
+    elif edit == "learning_rate_null":
+        params["boosted"]["learning_rate"] = None
+    elif edit == "seed_fraction":
+        payload["seed"] += 0.9
+    elif edit == "model_threshold_string":
+        payload["threshold"] = repr(payload["threshold"])
     else:
         tree["value"][tree["feature"].index(-1)] = True
 
@@ -998,7 +1115,10 @@ def _damage_model(payload: dict, edit: str) -> None:
 @pytest.mark.parametrize("edit", ["tree_feature", "tree_child", "self_loop", "boosted_value",
                                   "logistic_coef", "short_std", "feature_fraction",
                                   "feature_string", "feature_bool", "child_bool",
-                                  "child_float", "threshold_string", "value_bool"])
+                                  "child_float", "threshold_string", "value_bool",
+                                  "mean_nan", "coef_inf", "intercept_string", "f0_bool",
+                                  "learning_rate_null", "seed_fraction",
+                                  "model_threshold_string"])
 def test_damaged_model_is_refused_at_load(chain, tmp_path, capsys, edit):
     payload = json.loads((chain.out / MODEL_FILE).read_text())
     _damage_model(payload, edit)
@@ -1025,6 +1145,8 @@ def test_damaged_model_is_refused_at_load(chain, tmp_path, capsys, edit):
     ("missing_landmarks", 1, "paths.landmarks: path does not exist"),
     ("missing_model", 1, "model artifact not found"),
     ("damaged_model", 2, "rerun 'train'"),
+    ("malformed_restored", 2, "restored.jsonl:1: missing field 'identity_id'"),
+    ("restored_dimension", 2, f"dimension {DIM - 2}, the original corpus {DIM}"),
 ])
 def test_restore_checks_its_inputs_before_committing(chain, tmp_path, capsys,
                                                       fault, code, message):
@@ -1044,6 +1166,12 @@ def test_restore_checks_its_inputs_before_committing(chain, tmp_path, capsys,
         extra = ["--paths.landmarks", str(tmp_path / "no_landmarks.jsonl")]
     elif fault == "missing_model":
         model = tmp_path / "absent.json"
+    elif fault == "malformed_restored":
+        restored = tmp_path / "restored.jsonl"
+        restored.write_text('{"image_id": "a"}\n')
+        extra = ["--paths.embeddings_restored", str(restored)]
+    elif fault == "restored_dimension":
+        extra = ["--paths.embeddings_restored", str(_short_restored(chain, tmp_path))]
     else:
         payload = json.loads(model.read_text())
         _damage_model(payload, "tree_feature")

@@ -54,3 +54,18 @@ def test_category_span_attribute_reads_the_planes_width(category):
     img = ImageGray(5, 3, np.zeros((3, 5), dtype=np.uint8))
     attributes = tracer.ATTRIBUTES[f"imgfeat.{category}_features"]
     assert attributes((image_planes(img),), {}, None) == {"px": img.width}
+
+
+@pytest.mark.parametrize("name", tracer.TARGETS["lineuplab.pipeline"][1])
+def test_pipeline_names_are_the_functions_commands_run(name):
+    """The tracer wraps ``lineuplab.pipeline``'s names and rebinds each
+    wrapper wherever the original is bound, so a command's span exists only
+    if the façade re-exports the very function ``cli`` resolves for it (and
+    a helper's only if it is the function its stage module defines)."""
+    pipeline = importlib.import_module("lineuplab.pipeline")
+    cli = importlib.import_module("lineuplab.cli")
+    function = getattr(pipeline, name)
+    assert getattr(importlib.import_module(function.__module__), name) is function
+    for command, (_, _, run) in cli.COMMANDS.items():
+        if run == name:
+            assert cli.command_function(command) is function
