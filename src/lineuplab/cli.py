@@ -1,9 +1,10 @@
-"""Command-line entry point.
+"""Build forensic face lineups, predict their failures, measure restoration.
 
-Every configuration leaf is exposed as a flag named after its dotted path
-(for example ``--paths.output`` or ``--lineup.seed``); flags override values
-from the ``--config`` JSON file. Exit codes: 0 success, 1 configuration or
-usage error, 2 data error, 3 restoration hook failure.
+The ``lineuplab`` command line. Every configuration leaf is exposed as a
+flag named after its dotted path (for example ``--paths.output`` or
+``--lineup.seed``); flags override values from the ``--config`` JSON file.
+Exit codes: 0 success, 1 configuration or usage error, 2 data error,
+3 restoration hook failure.
 """
 
 from __future__ import annotations
@@ -27,11 +28,11 @@ COMMANDS = {
     "evaluate": ("build lineups, rank probes, and write the accuracy summary",
                  "lineuplab.stages.search", "run_evaluate"),
     "features": ("extract per-lineup (or per-image) feature vectors to CSV",
-                 "lineuplab.stages.learning", "run_features"),
+                 "lineuplab.stages.features", "run_features"),
     "train": ("train the failure-prediction ensemble from a feature CSV",
-              "lineuplab.stages.learning", "run_train"),
+              "lineuplab.stages.predictor", "run_train"),
     "predict": ("score stored features with a trained model",
-                "lineuplab.stages.learning", "run_predict"),
+                "lineuplab.stages.predictor", "run_predict"),
     "restore": ("predict failures, run the restoration hook, and re-rank",
                 "lineuplab.stages.learning", "run_predict_and_restore"),
     "compare": ("re-rank stored lineups against restored embeddings",

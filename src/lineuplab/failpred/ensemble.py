@@ -23,7 +23,7 @@ import numpy as np
 
 from lineuplab.errors import DataError
 from lineuplab.failpred import learners
-from lineuplab.failpred.learners import TreeParams, class_sample_weights
+from lineuplab.failpred.learners import TreeParams, class_sample_weights, one_class
 from lineuplab.imgfeat.standardize import Standardizer, fit_standardizer
 
 SPLIT_FRACTIONS = (0.72, 0.08, 0.20)
@@ -245,7 +245,7 @@ class TrainedClassifier:
 def train_base(config: BaseClassifierConfig, X: np.ndarray, y: np.ndarray):
     """Fit one base learner on standardized features."""
     y = np.asarray(y)
-    if len(np.unique(y)) < 2:
+    if one_class(y):
         raise DataError("base training set must contain both classes")
     w = class_sample_weights(y, config.class_weight)
     if config.family == "logistic":

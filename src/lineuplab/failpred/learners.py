@@ -51,6 +51,13 @@ def class_sample_weights(y: np.ndarray, failure_weight: float) -> np.ndarray:
     return np.where(y == 1, failure_weight, 1.0)
 
 
+def one_class(y) -> bool:
+    """Whether ``y`` holds fewer than two distinct labels; ``np.unique``
+    would also tell, but its first call imports ``numpy.ma``."""
+    y = np.asarray(y)
+    return y.size == 0 or bool((y == y.flat[0]).all())
+
+
 # ---------------------------------------------------------------------------
 # Logistic regression: damped Newton in the smaller of n and d.
 
@@ -109,7 +116,7 @@ def fit_logistic(X: np.ndarray, y: np.ndarray, w: np.ndarray, C: float = 1.0) ->
     such an unconfirmed step did not lower the gradient norm either.
     """
     n, d = X.shape
-    if len(np.unique(y)) < 2:
+    if one_class(y):
         raise DataError("logistic training needs both classes")
     inv_c = 1.0 / C
     K = X @ X.T if n <= d else None
@@ -309,23 +316,24 @@ def grow_tree(xt: np.ndarray, sorted_ids: np.ndarray, criterion: _Criterion,
     # ids are allocated before either subtree grows; numbering the nodes
     # depth-first instead would change every saved model.
     nodes = [[-1, 0.0, -1, -1, 0.0]]
-
-    def build(node: int, block: np.ndarray, depth: int):
+    # (node, block, depth) still to grow. The left child is popped first, so
+    # nodes are split, and rng drawn, in the order a recursive build takes.
+    stack = [(0, sorted_ids, 0)]
+    while stack:
+        node, block, depth = stack.pop()
         n = block.shape[1]
         nodes[node][4] = criterion.leaf(block[0])
         if depth >= params.max_depth or n < params.min_split or n < 2 * params.min_leaf:
-            return
+            continue
         split = _best_split(xt, block, criterion, params, rng)
         if split is None:
-            return
+            continue
         feature, threshold, left = split
         lid, rid = len(nodes), len(nodes) + 1
         nodes.extend(([-1, 0.0, -1, -1, 0.0], [-1, 0.0, -1, -1, 0.0]))
         nodes[node][:4] = feature, threshold, lid, rid
-        build(lid, block[left].reshape(d, -1), depth + 1)
-        build(rid, block[~left].reshape(d, -1), depth + 1)
-
-    build(0, sorted_ids, 0)
+        stack.append((rid, block[~left].reshape(d, -1), depth + 1))
+        stack.append((lid, block[left].reshape(d, -1), depth + 1))
     feature, threshold, left, right, value = zip(*nodes)
     return Tree(
         feature=np.asarray(feature, dtype=np.int32),
@@ -365,7 +373,7 @@ def fit_forest(X: np.ndarray, y: np.ndarray, w: np.ndarray, n_estimators: int,
     inside each tree the bootstrap multiplicities act as weights. An unset
     mtry scans sqrt(d) features per node."""
     n, d = X.shape
-    if len(np.unique(y)) < 2:
+    if one_class(y):
         raise DataError("forest training needs both classes")
     xt, base_sorted = presort_columns(X)
     prob = w / w.sum()

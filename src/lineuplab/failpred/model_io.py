@@ -120,7 +120,7 @@ def _model_to_obj(model) -> dict:
 
 
 def _model_from_obj(obj: dict, dim: int):
-    kind = obj.get("kind")
+    kind = obj.get("kind") if isinstance(obj, dict) else None
     if kind == "logistic":
         coef = _numbers(obj["coef"], "logistic coef")
         if coef.shape != (dim,):
@@ -199,7 +199,7 @@ def load_model(path) -> EnsembleModel:
             payload = json.load(fh)
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: malformed model artifact ({exc.msg})") from None
-    if payload.get("format") != FORMAT_TAG:
+    if not isinstance(payload, dict) or payload.get("format") != FORMAT_TAG:
         raise DataError(f"{path}: not a model artifact")
     if payload.get("version") != VERSION:
         raise DataError(f"{path}: unsupported artifact version {payload.get('version')}")

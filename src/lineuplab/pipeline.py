@@ -4,7 +4,8 @@ names.
 
 This module only re-exports. The code lives in ``lineuplab.config``,
 ``lineuplab.artifacts``, ``lineuplab.report`` and the stage modules
-``lineuplab.stages.ingest``, ``lineuplab.stages.search`` and
+``lineuplab.stages.ingest``, ``lineuplab.stages.search``,
+``lineuplab.stages.features``, ``lineuplab.stages.predictor`` and
 ``lineuplab.stages.learning``. The ``lineuplab`` command imports those
 directly, each only when one of its commands runs, so no command pays for
 importing this module.
@@ -41,17 +42,15 @@ from lineuplab.report import (
     run_report,
     write_outcome_csv,
 )
+from lineuplab.stages.features import extract_features, run_features
 from lineuplab.stages.ingest import run_curate, run_ingest
 from lineuplab.stages.learning import (
     HookRecord,
     RestorationHook,
-    extract_features,
-    run_features,
     run_hook,
-    run_predict,
     run_predict_and_restore,
-    run_train,
 )
+from lineuplab.stages.predictor import run_predict, run_train
 from lineuplab.stages.search import (
     compare_with_restored,
     run_compare,

@@ -2,8 +2,10 @@
 
 ``ingest`` (ingest, curate) needs the corpus module alone; ``search``
 (index, evaluate, compare) adds the search index, lineups and the report
-module; ``learning`` (features, train, predict, restore and the restoration
-hook) adds the image features, the failure predictor and ``subprocess``.
-``lineuplab.cli`` imports a stage module only when one of its commands
-runs; ``lineuplab.pipeline`` re-exports them all for library use.
+module; ``features`` adds the image features to the search modules;
+``predictor`` (train, predict) needs the failure predictor and the
+feature-CSV reader alone; ``learning`` (restore and the restoration hook)
+uses all of them and ``subprocess``. ``lineuplab.cli`` imports a stage
+module only when one of its commands runs; ``lineuplab.pipeline``
+re-exports them all for library use.
 """

@@ -1,53 +1,38 @@
-"""The learning stages: features, train, predict, restore and the
-restoration hook.
+"""The restore stage and the restoration hook.
 
-Only these stages import the image features, the failure predictor,
-``subprocess``, ``shlex`` and ``concurrent.futures``.
+``restore`` evaluates, extracts features and predicts as the other stages
+do, so it imports the features and predictor stages; only this module
+imports ``subprocess`` and ``shlex``.
 """
 
 from __future__ import annotations
 
-import csv
 import shlex
 import subprocess
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
 
 from lineuplab import corpus as corpus_mod
 from lineuplab.artifacts import (
     FEATURES_FILE,
     HOOK_STATUS_FILE,
     MANIFEST_FILE,
-    MODEL_FILE,
-    PREDICTIONS_FILE,
     RESULTS_FILE,
-    TRAIN_REPORT_FILE,
     OutputGuard,
     write_json,
 )
 from lineuplab.config import PipelineConfig, require_path
-from lineuplab.corpus import ImageId, ingest_landmarks
+from lineuplab.corpus import ImageId
 from lineuplab.errors import ConfigError, DataError, HookError
-from lineuplab.failpred.ensemble import (
-    EnsembleConfig,
-    dataset_from_arrays,
-    evaluate_classifier,
-    stratified_split,
-    train_ensemble,
-)
-from lineuplab.failpred.model_io import load_model, save_model, training_report
-from lineuplab.imgfeat import (
-    CLASSICAL_FEATURE_COUNT,
-    assemble_feature_vector,
-    read_feature_csv,
-    write_feature_csv,
-)
-from lineuplab.lineup import read_lineup_manifest
 from lineuplab.report import ComparisonBundle, write_comparison
-from lineuplab.stages.ingest import load_corpus, original_and_restored
+from lineuplab.stages.features import write_features
+from lineuplab.stages.ingest import original_and_restored
+from lineuplab.stages.predictor import (
+    load_model_with_override,
+    predict_rows,
+    stored_features,
+    write_predictions,
+)
 from lineuplab.stages.search import compare_with_restored, run_evaluate, stored_lineups
 
 # ---------------------------------------------------------------------------
@@ -110,139 +95,6 @@ def run_hook(config: PipelineConfig, hook: RestorationHook,
 
 
 # ---------------------------------------------------------------------------
-# Features
-
-
-def extract_features(config: PipelineConfig, handle, landmarks, targets) -> np.ndarray:
-    """One feature row per target image id, in target order, whatever the
-    parallelism degree: the (len(targets), dim + 42) float64 matrix."""
-    images_dir = require_path(config, "paths.images")
-    matrix = np.empty((len(targets), handle.dim + CLASSICAL_FEATURE_COUNT))
-
-    def fill(i: int) -> None:
-        target = targets[i]
-        img = corpus_mod.load_grayscale_image(corpus_mod.image_path(images_dir, target))
-        matrix[i] = assemble_feature_vector(handle.vector(target), img, landmarks.get(target))
-
-    if config.parallelism > 1:
-        with ThreadPoolExecutor(max_workers=config.parallelism) as pool:
-            list(pool.map(fill, range(len(targets))))
-    else:
-        for i in range(len(targets)):
-            fill(i)
-    return matrix
-
-
-def run_features(config: PipelineConfig) -> Path:
-    """Feature CSV for lineups (when a manifest exists) or all corpus images.
-
-    With a manifest, each row is keyed by the lineup's source id and built
-    from the configured target image (source by default, probe optionally);
-    labels come from the results CSV when present (1 = lineup failure).
-    """
-    return _write_features(config)[0]
-
-
-def _write_features(config: PipelineConfig):
-    """``run_features``'s path and the ``(ids, labels, matrix)`` triple it
-    wrote, which is what ``read_feature_csv`` returns for the file: the CSV
-    holds ``repr`` of finite values, so parsing it gives the same bits."""
-    handle = load_corpus(config)
-    landmarks = ingest_landmarks(require_path(config, "paths.landmarks"))
-    manifest_path = config.out(MANIFEST_FILE)
-    failed: set[str] = set()
-    if manifest_path.is_file():
-        if config.out(RESULTS_FILE).is_file():
-            lineups, results = stored_lineups(config)
-            failed = {r.lineup.source for r in results if not r.success}
-        else:
-            lineups = read_lineup_manifest(manifest_path)
-        ids = [lu.source for lu in lineups]
-        targets = ids if config.target == "source" else [lu.probe for lu in lineups]
-    else:
-        ids = targets = sorted(handle.ids)
-    labels = np.array([int(i in failed) for i in ids], dtype=np.int64)
-    matrix = extract_features(config, handle, landmarks, targets)
-    path = config.out(FEATURES_FILE)
-    with OutputGuard() as guard:
-        write_feature_csv(ids, labels, matrix, guard.track(path))
-    return path, (ids, labels, matrix)
-
-
-# ---------------------------------------------------------------------------
-# Train / predict
-
-
-def _model_path(config: PipelineConfig) -> Path:
-    return Path(config.model) if config.model else config.out(MODEL_FILE)
-
-
-def _stored_features(config: PipelineConfig):
-    """``read_feature_csv`` of the stored feature CSV. A file ``features``
-    wrote holds only finite values (extraction maps nan and inf to 0), so a
-    non-finite cell marks a malformed file."""
-    path = config.out(FEATURES_FILE)
-    if not path.is_file():
-        raise ConfigError(f"feature file not found: {path} (run 'features' first)")
-    ids, labels, matrix = read_feature_csv(path)
-    bad = ~np.isfinite(matrix).all(axis=1)
-    if bad.any():
-        raise DataError(f"{path}: non-finite feature value in row {ids[int(bad.argmax())]!r}")
-    return ids, labels, matrix
-
-
-def run_train(config: PipelineConfig):
-    ids, labels, matrix = _stored_features(config)
-    data = dataset_from_arrays(matrix, labels, ids)
-    train, val, test = stratified_split(data, seed=config.train_seed)
-    model = train_ensemble(
-        train, val, EnsembleConfig.default(config.train_seed, config.estimators))
-    if config.threshold_override is not None:
-        model = replace(model, threshold=config.threshold_override)
-    metrics = evaluate_classifier(model, test)
-    with OutputGuard() as guard:
-        save_model(model, guard.track(_model_path(config)))
-        write_json(guard.track(config.out(TRAIN_REPORT_FILE)), training_report(model, val))
-    return model, metrics
-
-
-def _load_model_with_override(config: PipelineConfig):
-    path = _model_path(config)
-    if not path.is_file():
-        raise ConfigError(f"model artifact not found: {path} (run 'train' first)")
-    model = load_model(path)
-    if config.threshold_override is not None:
-        model = replace(model, threshold=config.threshold_override)
-    return model
-
-
-def _predict(model, features):
-    """(source id, failure probability, predicted failure) per row of
-    ``features``, a ``read_feature_csv`` triple."""
-    ids, _, matrix = features
-    proba = model.predict_proba(matrix)
-    return list(zip(ids, proba.tolist(), (proba >= model.threshold).tolist()))
-
-
-def _write_predictions(config: PipelineConfig, guard: OutputGuard, predictions) -> None:
-    with open(guard.track(config.out(PREDICTIONS_FILE)), "w", encoding="utf-8",
-              newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("source_id", "probability", "predicted_failure"))
-        for sid, p, flag in predictions:
-            writer.writerow((sid, repr(p), "true" if flag else "false"))
-
-
-def run_predict(config: PipelineConfig):
-    """Per-lineup failure probabilities and decisions from stored features."""
-    features = _stored_features(config)
-    predictions = _predict(_load_model_with_override(config), features)
-    with OutputGuard() as guard:
-        _write_predictions(config, guard, predictions)
-    return predictions
-
-
-# ---------------------------------------------------------------------------
 # Restore
 
 
@@ -250,7 +102,7 @@ def _read_checked_features(config: PipelineConfig, lineups, results):
     """``read_feature_csv`` of a reused feature CSV, which must hold the rows
     ``run_features`` would write now: one per lineup source in manifest
     order, labelled 1 for a failed lineup."""
-    ids, labels, _ = features = _stored_features(config)
+    ids, labels, _ = features = stored_features(config)
     failed = {r.lineup.source for r in results if not r.success}
     if (ids != [lu.source for lu in lineups]
             or labels.tolist() != [int(lu.source in failed) for lu in lineups]):
@@ -278,7 +130,7 @@ def run_predict_and_restore(config: PipelineConfig) -> ComparisonBundle:
         require_path(config, "paths.images")
     if not config.out(FEATURES_FILE).is_file():
         require_path(config, "paths.landmarks")
-    model = _load_model_with_override(config)
+    model = load_model_with_override(config)
     original, restored = original_and_restored(config)
     if not config.out(MANIFEST_FILE).is_file() or not config.out(RESULTS_FILE).is_file():
         run_evaluate(config)
@@ -286,8 +138,8 @@ def run_predict_and_restore(config: PipelineConfig) -> ComparisonBundle:
     if config.out(FEATURES_FILE).is_file():
         features = _read_checked_features(config, lineups, results)
     else:
-        features = _write_features(config)[1]
-    predictions = _predict(model, features)
+        features = write_features(config)[1]
+    predictions = predict_rows(model, features)
     flagged = {sid for sid, _, is_failure in predictions if is_failure}
     results = [r for r in results if r.lineup.source in flagged]
     records = None
@@ -299,7 +151,7 @@ def run_predict_and_restore(config: PipelineConfig) -> ComparisonBundle:
     bundle = compare_with_restored(results, original, restored)
     with OutputGuard() as guard:
         write_comparison(config, guard, bundle)
-        _write_predictions(config, guard, predictions)
+        write_predictions(config, guard, predictions)
         if records is not None:
             write_json(guard.track(config.out(HOOK_STATUS_FILE)), {
                 "records": [

@@ -1,8 +1,10 @@
 """Failure-prediction tests: splitting, rebalancing, learners, the
 dual-cohort ensemble, threshold tuning, and the model artifact."""
 
+import gc
 import hashlib
 import json
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -276,6 +278,27 @@ def test_train_base_rejects_single_class():
         train_base(BaseClassifierConfig(family="logistic", seed=0), X, np.ones(10, dtype=np.int8))
 
 
+@pytest.mark.parametrize("labels", [[], [1] * 10, [0] * 10],
+                         ids=["empty", "all_failures", "all_successes"])
+@pytest.mark.parametrize("fit, message", [
+    ("train_base", "base training set must contain both classes"),
+    ("fit_logistic", "logistic training needs both classes"),
+    ("fit_forest", "forest training needs both classes"),
+])
+def test_single_class_labels_are_refused(fit, message, labels):
+    y = np.array(labels, dtype=np.int8)
+    X = np.random.default_rng(0).normal(size=(y.size, 2))
+    w = np.ones(y.size)
+    with pytest.raises(DataError, match=f"^{message}$"):
+        if fit == "train_base":
+            train_base(BaseClassifierConfig(family="random_forest", seed=0), X, y)
+        elif fit == "fit_logistic":
+            learners.fit_logistic(X, y, w)
+        else:
+            learners.fit_forest(X, y, w, 2, TreeParams(max_depth=2, min_split=2, min_leaf=1),
+                                np.random.default_rng(0))
+
+
 def test_train_base_rejects_unknown_family():
     X = np.zeros((6, 1))
     y = np.array([0, 0, 0, 1, 1, 1], dtype=np.int8)
@@ -427,6 +450,24 @@ GOLDEN_DIGESTS = {
     "ensemble":
         "cd1784e8b0463b9d4c3045720681653046fcdd2c3e6b40346f8fd68228017ba4",
 }
+
+def test_grow_tree_frees_its_inputs_on_return():
+    """No reference cycle outlives ``grow_tree``: the feature-major copy and
+    the criterion arrays are freed when the caller drops them, without
+    waiting for the cyclic collector."""
+    X, crit = _split_problem("gini")[:2]
+    xt, sorted_ids = learners.presort_columns(X)
+    refs = [weakref.ref(xt), weakref.ref(crit.s1), weakref.ref(crit.s2)]
+    gc.disable()
+    try:
+        tree = learners.grow_tree(xt, sorted_ids, crit,
+                                  TreeParams(max_depth=4, min_split=2, min_leaf=1), None)
+        del xt, crit
+        assert [ref() is None for ref in refs] == [True, True, True]
+    finally:
+        gc.enable()
+    assert tree.feature.size > 1
+
 
 TREE_FAMILIES = ("random_forest", "extra_trees", "gradient_boosting", "xgb_style")
 GOLDEN_CASES = [
@@ -771,6 +812,21 @@ def test_load_model_file_errors(trained, tmp_path):
     payload["cohorts"]["recall"] = []
     saved.write_text(json.dumps(payload))
     with pytest.raises(DataError, match="at least one learner"):
+        load_model(saved)
+
+
+@pytest.mark.parametrize("value", [[], "model", 7, None])
+@pytest.mark.parametrize("where, message", [("top_level", "not a model artifact"),
+                                            ("params", "unknown model kind None")])
+def test_load_model_refuses_json_of_the_wrong_type(trained, tmp_path, where, message, value):
+    saved = save_model(trained.model, tmp_path / "model.json")
+    payload = json.loads(saved.read_text())
+    if where == "top_level":
+        payload = value
+    else:
+        payload["cohorts"]["precision"][0]["params"] = value
+    saved.write_text(json.dumps(payload))
+    with pytest.raises(DataError, match=message):
         load_model(saved)
 
 

@@ -23,7 +23,7 @@ from lineuplab.imgfeat import (
     texture_features,
     write_feature_csv,
 )
-from lineuplab.imgfeat import features as features_mod
+from lineuplab.imgfeat import table as table_mod
 from lineuplab.imgfeat.features import image_planes, sanitize
 from lineuplab.imgfeat.geometry import SYMMETRY_PAIRS, eye_aspect_ratio, mouth_aspect_ratio
 
@@ -342,13 +342,13 @@ def test_read_feature_csv_matches_row_loop_oracle(tmp_path, monkeypatch, content
     else:
         path.write_bytes(content)
     loops = []
-    row_loop = features_mod._read_rows
+    row_loop = table_mod._read_rows
 
     def counting_loop(*args):
         loops.append(args[0])
         return row_loop(*args)
 
-    monkeypatch.setattr(features_mod, "_read_rows", counting_loop)
+    monkeypatch.setattr(table_mod, "_read_rows", counting_loop)
     try:
         want = oracles.read_feature_csv(path)
     except ValueError as exc:
@@ -366,7 +366,7 @@ def test_read_feature_csv_matches_row_loop_oracle(tmp_path, monkeypatch, content
 
 
 def test_feature_csv_round_trip_is_bitwise_for_random_doubles(tmp_path, rng, monkeypatch):
-    monkeypatch.setattr(features_mod, "_read_rows", None)  # the numpy pass only
+    monkeypatch.setattr(table_mod, "_read_rows", None)  # the numpy pass only
     bits = rng.integers(0, 2**64, size=2_100 * 50, dtype=np.uint64, endpoint=False)
     values = bits.view(np.float64)
     values = values[np.isfinite(values)][:2_000 * 50].reshape(2_000, 50)

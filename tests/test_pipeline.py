@@ -50,7 +50,7 @@ from lineuplab.pipeline import (
     load_config,
     write_outcome_csv,
 )
-from lineuplab.stages import learning as learning_stages
+from lineuplab.stages import predictor as predictor_stages
 from lineuplab.stages import search as search_stages
 
 # ---------------------------------------------------------------------------
@@ -695,7 +695,7 @@ def test_restore_parses_reused_features_once(chain, tmp_path, monkeypatch):
         parsed.append(Path(path).name)
         return read_feature_csv(path)
 
-    monkeypatch.setattr(learning_stages, "read_feature_csv", counting_read)
+    monkeypatch.setattr(predictor_stages, "read_feature_csv", counting_read)
     assert cli.main([*args, "--hook.command",
                      f"sh {chain.ws.ok_hook} {{input}} {{output}}"]) == 0
     assert parsed == [FEATURES_FILE]
@@ -867,6 +867,8 @@ def test_cli_help_lists_every_command(capsys):
     assert _exit_code(["--help"]) == 0
     out = capsys.readouterr().out
     assert [name for name in cli.COMMANDS if not re.search(rf"^ +{name} ", out, re.M)] == []
+    assert ("Build forensic face lineups, predict their failures, measure restoration."
+            in " ".join(out.split()))
 
 
 @pytest.mark.parametrize("command", list(cli.COMMANDS))
@@ -893,6 +895,9 @@ def test_cli_rejects_flags_the_command_does_not_take(capsys, command):
 _LEARNING_MODULES = ("lineuplab.failpred", "lineuplab.imgfeat", "lineuplab.filters",
                      "subprocess", "concurrent.futures")
 _SEARCH_MODULES = ("lineuplab.simindex", "lineuplab.lineup", "lineuplab.report")
+# the predictor commands read the feature CSV and the model, nothing else
+_NOT_PREDICTOR_MODULES = ("lineuplab.imgfeat.features", "lineuplab.filters", "lineuplab.corpus",
+                          "subprocess", "concurrent.futures", "numpy.ma") + _SEARCH_MODULES
 
 # command -> (modules it must load, modules it must not load)
 _COMMAND_IMPORTS = {
@@ -901,9 +906,9 @@ _COMMAND_IMPORTS = {
                ("lineuplab.failpred", "lineuplab.imgfeat") + _SEARCH_MODULES),
     "index": ((), _LEARNING_MODULES),
     "evaluate": ((), _LEARNING_MODULES),
-    "features": (("lineuplab.imgfeat",), ()),
-    "train": (("lineuplab.failpred",), ()),
-    "predict": (("lineuplab.failpred",), ()),
+    "features": (("lineuplab.imgfeat",), ("lineuplab.failpred", "subprocess")),
+    "train": (("lineuplab.failpred",), _NOT_PREDICTOR_MODULES),
+    "predict": (("lineuplab.failpred",), _NOT_PREDICTOR_MODULES),
     "restore": (("lineuplab.failpred", "subprocess"), ()),
     "compare": ((), _LEARNING_MODULES),
     "report": ((), ("numpy",)),

@@ -69,3 +69,13 @@ def test_pipeline_names_are_the_functions_commands_run(name):
     for command, (_, _, run) in cli.COMMANDS.items():
         if run == name:
             assert cli.command_function(command) is function
+
+
+def test_feature_reader_is_the_function_the_predictor_stage_calls():
+    """The tracer wraps ``read_feature_csv`` under ``lineuplab.imgfeat.features``
+    and rebinds the wrapper wherever the function is bound, so ``train`` and
+    ``predict`` record ``imgfeat.read_feature_csv`` spans only if their stage
+    calls that very function."""
+    features = importlib.import_module("lineuplab.imgfeat.features")
+    predictor = importlib.import_module("lineuplab.stages.predictor")
+    assert predictor.read_feature_csv is features.read_feature_csv
