@@ -137,7 +137,7 @@ def _model_from_obj(obj: dict, dim: int):
             learning_rate=_number(obj["learning_rate"], "boosted learning_rate"),
             trees=tuple(_tree_from_obj(t, dim) for t in obj["trees"]),
         )
-    raise DataError(f"unknown model kind {kind!r} in artifact")
+    raise DataError(f"unknown model kind {kind!r} in artifact (rerun 'train')")
 
 
 def _classifier_to_obj(tc: TrainedClassifier) -> dict:
@@ -224,7 +224,7 @@ def load_model(path) -> EnsembleModel:
             seed=payload["seed"],
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise DataError(f"{path}: incomplete model artifact ({exc})") from None
+        raise DataError(f"{path}: incomplete model artifact ({exc}); rerun 'train'") from None
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None
 

@@ -54,30 +54,30 @@ def run_features(config: PipelineConfig) -> Path:
     from the configured target image (source by default, probe optionally);
     labels come from the results CSV when present (1 = lineup failure).
     """
-    return write_features(config)[0]
-
-
-def write_features(config: PipelineConfig):
-    """``run_features``'s path and the ``(ids, labels, matrix)`` triple it
-    wrote, which is what ``read_feature_csv`` returns for the file: the CSV
-    holds ``repr`` of finite values, so parsing it gives the same bits."""
     handle = load_corpus(config)
     landmarks = ingest_landmarks(require_path(config, "paths.landmarks"))
-    manifest_path = config.out(MANIFEST_FILE)
-    failed: set[str] = set()
-    if manifest_path.is_file():
-        if config.out(RESULTS_FILE).is_file():
-            lineups, results = stored_lineups(config)
-            failed = {r.lineup.source for r in results if not r.success}
-        else:
-            lineups = read_lineup_manifest(manifest_path)
+    lineups = results = None
+    if config.out(RESULTS_FILE).is_file() and config.out(MANIFEST_FILE).is_file():
+        results = stored_lineups(config)
+        lineups = [r.lineup for r in results]
+    elif config.out(MANIFEST_FILE).is_file():
+        lineups = read_lineup_manifest(config.out(MANIFEST_FILE))
+    write_features(config, handle, landmarks, lineups, results)
+    return config.out(FEATURES_FILE)
+
+
+def write_features(config: PipelineConfig, handle, landmarks, lineups, results):
+    """Commit the feature CSV of ``lineups`` (every corpus image when None),
+    labelled by ``results``; return the ``(ids, labels, matrix)`` triple
+    that ``read_feature_csv`` would parse back from it, bit for bit."""
+    if lineups is None:
+        ids = targets = sorted(handle.ids)
+    else:
         ids = [lu.source for lu in lineups]
         targets = ids if config.target == "source" else [lu.probe for lu in lineups]
-    else:
-        ids = targets = sorted(handle.ids)
+    failed = {r.lineup.source for r in results or () if not r.success}
     labels = np.array([int(i in failed) for i in ids], dtype=np.int64)
     matrix = extract_features(config, handle, landmarks, targets)
-    path = config.out(FEATURES_FILE)
     with OutputGuard() as guard:
-        write_feature_csv(ids, labels, matrix, guard.track(path))
-    return path, (ids, labels, matrix)
+        write_feature_csv(ids, labels, matrix, guard.track(config.out(FEATURES_FILE)))
+    return ids, labels, matrix

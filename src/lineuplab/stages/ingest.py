@@ -1,7 +1,7 @@
-"""The ingest stages: ingest and curate, and the corpus reads every other
-stage starts from. They need the corpus module alone (and ``filters``,
-which ``curate`` imports for its blur rule), not the search index or
-lineups.
+"""The ingest stages (ingest, curate) and the corpus loads every command
+starts from: a command loads its inputs, runs its stage over the loaded
+values, then commits. They need the corpus module alone (and ``filters``
+for ``curate``'s blur rule), not the search index or lineups.
 """
 
 from __future__ import annotations

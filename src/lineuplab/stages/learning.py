@@ -1,8 +1,8 @@
 """The restore stage and the restoration hook.
 
-``restore`` evaluates, extracts features and predicts as the other stages
-do, so it imports the features and predictor stages; only this module
-imports ``subprocess`` and ``shlex``.
+``restore`` loads each input once and runs the evaluate, features and
+predict stage functions over the loaded values, so it imports those stage
+modules; only this module imports ``subprocess`` and ``shlex``.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from lineuplab.artifacts import (
     write_json,
 )
 from lineuplab.config import PipelineConfig, require_path
-from lineuplab.corpus import ImageId
+from lineuplab.corpus import ImageId, ingest_landmarks
 from lineuplab.errors import ConfigError, DataError, HookError
 from lineuplab.report import ComparisonBundle, write_comparison
 from lineuplab.stages.features import write_features
@@ -33,7 +33,7 @@ from lineuplab.stages.predictor import (
     stored_features,
     write_predictions,
 )
-from lineuplab.stages.search import compare_with_restored, run_evaluate, stored_lineups
+from lineuplab.stages.search import compare_with_restored, evaluate, stored_lineups
 
 # ---------------------------------------------------------------------------
 # Restoration hook
@@ -98,47 +98,42 @@ def run_hook(config: PipelineConfig, hook: RestorationHook,
 # Restore
 
 
-def _read_checked_features(config: PipelineConfig, lineups, results):
-    """``read_feature_csv`` of a reused feature CSV, which must hold the rows
-    ``run_features`` would write now: one per lineup source in manifest
-    order, labelled 1 for a failed lineup."""
-    ids, labels, _ = features = stored_features(config)
-    failed = {r.lineup.source for r in results if not r.success}
-    if (ids != [lu.source for lu in lineups]
-            or labels.tolist() != [int(lu.source in failed) for lu in lineups]):
-        raise DataError(f"{config.out(FEATURES_FILE)} does not match the stored lineups "
-                        f"and results (rerun 'features')")
-    return features
-
-
 def run_predict_and_restore(config: PipelineConfig) -> ComparisonBundle:
     """Classify every lineup source; restore and re-rank predicted failures.
 
-    The flow: evaluate (if results are missing), extract features (if
-    missing), predict, then run the hook over the predicted-failure lineups'
-    members (sources are never restored) and re-rank those lineups against
+    Each input is loaded once, before anything commits: the hook,
+    ``paths.images`` (when the hook or extraction reads it), the landmarks
+    (when ``features.csv`` is absent), the model and both corpora. Over those
+    values it evaluates (if results are missing), extracts features (if
+    missing), predicts, runs the hook over the predicted-failure lineups'
+    members (sources are never restored) and re-ranks those lineups against
     the externally re-embedded restored corpus, as ``compare`` does. A member
-    whose hook run failed is left out of the restored corpus. The
-    predictions and the hook status are committed with the comparison
-    reports, so a re-ranking that fails leaves the previous
-    ``predictions.csv`` in place.
+    whose hook run failed is left out of the restored corpus. The predictions
+    and the hook status are committed with the comparison reports, so a
+    re-ranking that fails leaves the previous ``predictions.csv`` in place.
     """
-    # every input is checked before evaluate or features commit anything
-    hook = None
-    if config.hook_command:
-        hook = RestorationHook(config.hook_command, config.hook_timeout)
+    hook = (RestorationHook(config.hook_command, config.hook_timeout)
+            if config.hook_command else None)
+    extract = not config.out(FEATURES_FILE).is_file()
+    if hook is not None or extract:
         require_path(config, "paths.images")
-    if not config.out(FEATURES_FILE).is_file():
-        require_path(config, "paths.landmarks")
+    landmarks = ingest_landmarks(require_path(config, "paths.landmarks")) if extract else None
     model = load_model_with_override(config)
     original, restored = original_and_restored(config)
-    if not config.out(MANIFEST_FILE).is_file() or not config.out(RESULTS_FILE).is_file():
-        run_evaluate(config)
-    lineups, results = stored_lineups(config)
-    if config.out(FEATURES_FILE).is_file():
-        features = _read_checked_features(config, lineups, results)
+    if config.out(MANIFEST_FILE).is_file() and config.out(RESULTS_FILE).is_file():
+        results = stored_lineups(config)
     else:
-        features = write_features(config)[1]
+        report = evaluate(config, original)
+        results = report.results if report else ()
+    if extract:
+        features = write_features(config, original, landmarks, [r.lineup for r in results],
+                                  results)
+    else:
+        features = stored_features(config)
+        if (features[0] != [r.lineup.source for r in results]
+                or features[1].tolist() != [int(not r.success) for r in results]):
+            raise DataError(f"{config.out(FEATURES_FILE)} does not match the stored lineups "
+                            f"and results (rerun 'features')")
     predictions = predict_rows(model, features)
     flagged = {sid for sid, _, is_failure in predictions if is_failure}
     results = [r for r in results if r.lineup.source in flagged]

@@ -23,7 +23,6 @@ from lineuplab.config import PipelineConfig
 from lineuplab.errors import ConfigError, DataError
 from lineuplab.lineup import (
     AccuracyReport,
-    Lineup,
     LineupResult,
     NoEligibleSources,
     compare_variants,
@@ -52,13 +51,16 @@ def run_index(config: PipelineConfig) -> Path:
 
 
 def run_evaluate(config: PipelineConfig) -> AccuracyReport | None:
-    """Lineups, per-lineup results, and an accuracy summary for one corpus.
+    return evaluate(config, load_corpus(config))
+
+
+def evaluate(config: PipelineConfig, handle) -> AccuracyReport | None:
+    """Lineups, per-lineup results, and an accuracy summary for ``handle``.
 
     Returns None when no source is eligible; the (empty) artifacts are still
     written and the summary states that explicitly, with each source's skip
     reason, rather than failing.
     """
-    handle = load_corpus(config)
     index = simindex.build_index(handle)
     try:
         report = lineup_mod.evaluate_corpus(
@@ -80,10 +82,11 @@ def run_evaluate(config: PipelineConfig) -> AccuracyReport | None:
     return report
 
 
-def stored_lineups(config: PipelineConfig) -> tuple[list[Lineup], list[LineupResult]]:
-    """The lineup manifest and before-results written by ``evaluate``: the
-    manifest's sources are distinct, and the results hold one row per
-    manifest lineup, in manifest order."""
+def stored_lineups(config: PipelineConfig) -> list[LineupResult]:
+    """The before-results written by ``evaluate``, over the lineups of its
+    manifest: the manifest's sources are distinct, and the results hold one
+    row per manifest lineup, in manifest order, so ``[r.lineup for r in
+    results]`` is the manifest."""
     manifest_path = config.out(MANIFEST_FILE)
     results_path = config.out(RESULTS_FILE)
     if not manifest_path.is_file() or not results_path.is_file():
@@ -97,7 +100,7 @@ def stored_lineups(config: PipelineConfig) -> tuple[list[Lineup], list[LineupRes
     if [r.lineup.source for r in results] != sources:
         raise DataError(f"{results_path}: results do not hold one row per lineup of "
                         f"{manifest_path}, in manifest order (rerun 'evaluate')")
-    return lineups, results
+    return results
 
 
 def compare_with_restored(results, original, restored) -> ComparisonBundle:
@@ -121,7 +124,7 @@ def compare_with_restored(results, original, restored) -> ComparisonBundle:
 
 def run_compare(config: PipelineConfig) -> ComparisonBundle:
     """Re-rank every stored lineup against the restored embeddings."""
-    results = stored_lineups(config)[1]
+    results = stored_lineups(config)
     bundle = compare_with_restored(results, *original_and_restored(config))
     with OutputGuard() as guard:
         write_comparison(config, guard, bundle)

@@ -783,7 +783,7 @@ def test_load_model_file_errors(trained, tmp_path):
     payload["version"] = 1
     del payload["standardizer"]
     saved.write_text(json.dumps(payload))
-    with pytest.raises(DataError, match="incomplete"):
+    with pytest.raises(DataError, match="incomplete.*rerun 'train'"):
         load_model(saved)
 
     # A config echo from another version names the stale key.
@@ -826,8 +826,9 @@ def test_load_model_refuses_json_of_the_wrong_type(trained, tmp_path, where, mes
     else:
         payload["cohorts"]["precision"][0]["params"] = value
     saved.write_text(json.dumps(payload))
-    with pytest.raises(DataError, match=message):
+    with pytest.raises(DataError, match=message) as raised:
         load_model(saved)
+    assert where == "top_level" or "rerun 'train'" in str(raised.value)
 
 
 def test_training_report_contents(trained):

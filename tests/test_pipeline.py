@@ -1,14 +1,17 @@
 """Pipeline and CLI tests: configuration handling, the restoration hook, and
 the full command chain on a small synthetic workspace."""
 
+import builtins
 import csv
 import hashlib
+import io
 import json
 import os
 import re
 import shutil
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -715,6 +718,60 @@ def test_restore_parses_reused_features_once(chain, tmp_path, monkeypatch):
     assert (fresh / PREDICTIONS_FILE).read_bytes() == (chain.out / PREDICTIONS_FILE).read_bytes()
 
 
+# case -> (command, chain artifacts copied into the output directory)
+READ_ONCE_CASES = {
+    "ingest": ("ingest", ()),
+    "curate": ("curate", ()),
+    "index": ("index", ()),
+    "evaluate": ("evaluate", ()),
+    "features": ("features", (MANIFEST_FILE, RESULTS_FILE)),
+    "train": ("train", (FEATURES_FILE,)),
+    "predict": ("predict", (FEATURES_FILE, MODEL_FILE)),
+    "compare": ("compare", (MANIFEST_FILE, RESULTS_FILE)),
+    "report": ("report", (COMPARISON_FILE,)),
+    "restore_reusing_all": ("restore", (MANIFEST_FILE, RESULTS_FILE, FEATURES_FILE)),
+    "restore_without_features": ("restore", (MANIFEST_FILE, RESULTS_FILE)),
+    "restore_fresh": ("restore", ()),
+}
+
+
+@pytest.mark.parametrize("case", list(READ_ONCE_CASES))
+def test_each_command_reads_each_input_once(chain, tmp_path, monkeypatch, case):
+    """Every file a command opens for reading is opened once, and none of
+    them is a file the command has just written. ``ingest_embeddings``'s
+    4-byte format sniff counts with the parse that follows it."""
+    command, seeded = READ_ONCE_CASES[case]
+    out = tmp_path / "out"
+    out.mkdir()
+    for name in seeded:
+        shutil.copy(chain.out / name, out / name)
+    args = [command, "--config", str(chain.ws.config), "--paths.output", str(out)]
+    if command == "restore":
+        args += ["--paths.model", str(chain.out / MODEL_FILE),
+                 "--hook.command", f"sh {chain.ws.ok_hook} {{input}} {{output}}"]
+    reads = Counter()
+    real_open = io.open
+    sniff = ingest_embeddings.__code__
+
+    def counting_open(file, mode="r", *rest, **kwargs):
+        if (isinstance(file, (str, os.PathLike)) and not set(mode) & set("wax+")
+                and sys._getframe(1).f_code is not sniff):
+            reads[Path(file)] += 1
+        return real_open(file, mode, *rest, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    monkeypatch.setattr(io, "open", counting_open)
+    assert cli.main(args) == 0
+    monkeypatch.undo()
+    assert {path: n for path, n in reads.items() if n > 1} == {}
+    assert [path for path in reads if path.parent == out and path.name not in seeded] == []
+    assert chain.ws.config in reads
+    if command in ("ingest", "curate", "index", "evaluate", "features", "compare", "restore"):
+        assert chain.ws.original in reads
+    if case != "restore_reusing_all" and command in ("features", "restore"):
+        assert chain.ws.root / "landmarks.jsonl" in reads
+
+
 @pytest.mark.parametrize("stale", ["ids", "labels"])
 def test_restore_rejects_stale_features(chain, tmp_path, capsys, stale):
     out = tmp_path / "out"
@@ -1147,7 +1204,9 @@ def test_damaged_model_is_refused_at_load(chain, tmp_path, capsys, edit):
     ("hook_placeholder", 1, "placeholders"),
     ("hook_quote", 1, "No closing quotation"),
     ("missing_images", 1, "paths.images: path does not exist"),
+    ("missing_images_without_hook", 1, "paths.images: path does not exist"),
     ("missing_landmarks", 1, "paths.landmarks: path does not exist"),
+    ("malformed_landmarks", 2, "landmarks.jsonl:1: missing field 'points'"),
     ("missing_model", 1, "model artifact not found"),
     ("damaged_model", 2, "rerun 'train'"),
     ("malformed_restored", 2, "restored.jsonl:1: missing field 'identity_id'"),
@@ -1165,10 +1224,14 @@ def test_restore_checks_its_inputs_before_committing(chain, tmp_path, capsys,
         hook = "cp {input}"
     elif fault == "hook_quote":
         hook = 'cp "{input} {output}'
-    elif fault == "missing_images":
+    elif fault.startswith("missing_images"):
         extra = ["--paths.images", str(tmp_path / "no_images")]
     elif fault == "missing_landmarks":
         extra = ["--paths.landmarks", str(tmp_path / "no_landmarks.jsonl")]
+    elif fault == "malformed_landmarks":
+        landmarks = tmp_path / "landmarks.jsonl"
+        landmarks.write_text('{"image_id": "a"}\n')
+        extra = ["--paths.landmarks", str(landmarks)]
     elif fault == "missing_model":
         model = tmp_path / "absent.json"
     elif fault == "malformed_restored":
@@ -1182,8 +1245,10 @@ def test_restore_checks_its_inputs_before_committing(chain, tmp_path, capsys,
         _damage_model(payload, "tree_feature")
         model = tmp_path / MODEL_FILE
         model.write_text(json.dumps(payload))
+    if fault != "missing_images_without_hook":
+        extra += ["--hook.command", hook]
     assert cli.main(["restore", "--config", str(chain.ws.config), "--paths.output", str(out),
-                     "--paths.model", str(model), "--hook.command", hook, *extra]) == code
+                     "--paths.model", str(model), *extra]) == code
     assert message in capsys.readouterr().err
     assert list(out.iterdir()) == []
 
