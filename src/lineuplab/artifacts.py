@@ -11,6 +11,8 @@ import json
 import os
 from pathlib import Path
 
+from lineuplab.errors import ConfigError
+
 # Canonical artifact names inside the output directory.
 MANIFEST_FILE = "lineup_manifest.jsonl"
 RESULTS_FILE = "lineup_results.csv"
@@ -36,7 +38,8 @@ class OutputGuard:
     path to write instead of the final name. A clean exit moves every temp
     file onto its final name with ``os.replace``; an exception, Ctrl-C
     included, removes the temp files and leaves the previous artifacts
-    untouched.
+    untouched. A final name that is a directory is refused before anything
+    moves.
     """
 
     def __init__(self):
@@ -55,6 +58,9 @@ class OutputGuard:
     def __exit__(self, exc_type, exc, tb):
         try:
             if exc_type is None:
+                for path in self.pending:
+                    if path.is_dir():
+                        raise ConfigError(f"output path is a directory: {path}")
                 for path, temp in self.pending.items():
                     os.replace(temp, path)
         finally:

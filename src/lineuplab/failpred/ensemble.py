@@ -12,6 +12,13 @@ the decision threshold is tuned on validation data over a 50-point grid from
 Every row cut is one stratified cut, ``_stratified_parts``: the
 train/val/test split, the cross-validation folds and each fold's validation
 carve-out differ only in the part sizes they deal each class into.
+
+``train_ensemble`` sorts the standardized training rows once
+(``learners.presort_columns``, the int32 order only). ``rebalance`` keeps
+rows ascending, so each tree learner restricts that one order to its rows
+(``learners.restrict_order``) and gets its subset's own stable sort;
+boosting nodes partition it into blocks, and forest nodes, which draw
+mtry < d features, filter the drawn features' rows of it by a row mask.
 """
 
 from __future__ import annotations
@@ -242,8 +249,11 @@ class TrainedClassifier:
         return self.model.predict_proba(X)
 
 
-def train_base(config: BaseClassifierConfig, X: np.ndarray, y: np.ndarray):
-    """Fit one base learner on standardized features."""
+def train_base(config: BaseClassifierConfig, X: np.ndarray, y: np.ndarray,
+               order: np.ndarray | None = None):
+    """Fit one base learner on standardized features. A tree learner sorts
+    its rows by ``order``, ``learners.presort_columns(X)``, computed when
+    not given."""
     y = np.asarray(y)
     if one_class(y):
         raise DataError("base training set must contain both classes")
@@ -252,15 +262,16 @@ def train_base(config: BaseClassifierConfig, X: np.ndarray, y: np.ndarray):
         return learners.fit_logistic(X, y, w, C=config.C)
     if config.family in ("random_forest", "extra_trees"):
         rng = np.random.default_rng(config.seed)
-        return learners.fit_forest(X, y, w, config.n_estimators, config.tree_params(), rng)
+        return learners.fit_forest(X, y, w, config.n_estimators, config.tree_params(), rng,
+                                   order)
     if config.family == "gradient_boosting":
         return learners.fit_gradient_boosting(
-            X, y, w, config.n_estimators, config.learning_rate, config.tree_params()
+            X, y, w, config.n_estimators, config.learning_rate, config.tree_params(), order
         )
     if config.family == "xgb_style":
         return learners.fit_regularized_boosting(
             X, y, w, config.n_estimators, config.learning_rate, config.tree_params(),
-            lam=config.leaf_penalty,
+            lam=config.leaf_penalty, order=order,
         )
     raise DataError(f"unknown learner family {config.family!r}")
 
@@ -304,15 +315,21 @@ def train_ensemble(train: LabeledDataset, val: LabeledDataset,
                    config: EnsembleConfig) -> EnsembleModel:
     standardizer = fit_standardizer(train.matrix)
     Xtr = standardizer.transform(train.matrix)
-    train_std = LabeledDataset(train.ids, Xtr, train.labels)
+    # The training rows, numbered: each rebalanced subset's ids are then the
+    # rows it kept, in ascending order, and restricting the one sort of the
+    # training rows to them gives the subset's own stable sort.
+    numbered = LabeledDataset(tuple(range(train.size)), Xtr, train.labels)
+    order = learners.presort_columns(Xtr)
     cohorts = []
     for cohort in (config.precision, config.recall):
         if len(cohort) != 10:
             raise DataError(f"each cohort needs 10 specs, got {len(cohort)}")
         fitted = []
         for spec, base_cfg in cohort:
-            subset = rebalance(train_std, spec)
-            model = train_base(base_cfg, subset.matrix, subset.labels)
+            subset = rebalance(numbered, spec)
+            subset_order = (None if base_cfg.family == "logistic"
+                            else learners.restrict_order(order, np.asarray(subset.ids)))
+            model = train_base(base_cfg, subset.matrix, subset.labels, subset_order)
             fitted.append(TrainedClassifier(spec=spec, config=base_cfg, model=model))
         cohorts.append(tuple(fitted))
     model = EnsembleModel(

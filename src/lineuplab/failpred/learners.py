@@ -12,15 +12,26 @@ penalty for the regularized boosting family. Both boosting families run one
 stagewise log-loss loop, ``_boost``, and differ only in the criterion it
 builds from the labels and the current probabilities each round.
 
-Block layout: the data is held feature-major, ``xt`` of shape (d, n_total),
-and sorted once per dataset into a (d, n) int32 block whose row f lists the
-tree's sample ids ascending by feature f. Each node searches its candidate
-features over its own block, a few features at a time (about BLOCK_VALUES
-entries, so the temporaries stay cache-sized whatever d is): gather their
-rows, take prefix sums of the criterion's two per-row statistics along each
-row, score every boundary, and keep each feature's best. One boolean mask
-then splits every row of the block stably, so the children's rows stay
-sorted and no per-node sorting happens.
+Sorted layout: the data is held feature-major, ``xt`` of shape
+(d, n_total), beside ``order``, a (d, n_total) int32 array whose row f lists
+the row ids ascending by feature f (``presort_columns``). It is sorted once
+per training set: a learner on a subset of ascending rows takes
+``restrict_order`` of it, which equals the subset's own stable sort. A node
+takes one of two forms, by the ``mtry < d`` rule:
+
+- A node that scores every feature (both boosting families) holds its own
+  (d, n) block of ``order``. Its split search slices the block a few
+  features at a time (about BLOCK_VALUES entries, so the temporaries stay
+  cache-sized whatever d is): gather their values and the criterion's two
+  per-row statistics, take prefix sums along each row, score every
+  boundary and keep each feature's best. The split's row mask then
+  partitions every row of the block stably, so the children's rows stay
+  sorted and no per-node sorting happens.
+- A node that draws mtry < d features (forests) holds only its boolean row
+  mask over the tree's rows, the bootstrap's drawn rows at the root. Its
+  split search reads only the drawn features' rows of ``order`` and keeps
+  the entries of the node's rows, which is the block the first form would
+  hold for those features; a split is two masks, not two (d, n) blocks.
 
 Determinism: every stochastic choice (bootstrap, feature subsets, random
 thresholds) draws from a generator seeded through the model config, and
@@ -261,27 +272,37 @@ def _second_order(g: np.ndarray, h: np.ndarray, lam: float) -> _Criterion:
     return _Criterion(g, h, gain, leaf)
 
 
-def _best_split(xt: np.ndarray, block: np.ndarray, criterion: _Criterion,
-                params: TreeParams, rng: np.random.Generator | None):
-    """Best split of one node's (d, n) block: (feature, threshold, boolean
-    mask of the block entries that go left), or None when no split gains
-    more than SPLIT_EPS.
+def _best_split(xt: np.ndarray, order: np.ndarray, criterion: _Criterion,
+                params: TreeParams, rng: np.random.Generator | None,
+                rows: np.ndarray | None = None):
+    """Best split of one node: (feature, threshold, boolean (n_total,) mask
+    of the node's rows that go left), or None when no split gains more than
+    SPLIT_EPS.
 
-    The drawn features are scored in blocks of about BLOCK_VALUES (feature,
-    sample) entries, since prefix sums run along each feature's samples
-    alone; only each feature's best (gain, position, threshold) outlives its
-    block, so the scoring temporaries do not grow with the number of
-    features; the returned (d, n) boolean split mask still does."""
+    A node that scores every feature passes its own (d, n) block as
+    ``order``. A node that draws mtry < d features passes the tree's order
+    and its row mask ``rows`` (None: every row of ``order``); only the drawn
+    features' rows of ``order`` are read, filtered down to the node's rows.
+
+    The candidate features are scored in blocks of about BLOCK_VALUES
+    (feature, sample) entries, since prefix sums run along each feature's
+    samples alone; only each feature's best (gain, position, threshold)
+    outlives its block, so the scoring temporaries do not grow with the
+    number of features."""
     d, n_total = xt.shape
-    n = block.shape[1]
-    lo, hi = params.min_leaf, n - params.min_leaf
-    if params.mtry is not None and params.mtry < d:
+    drawn = params.mtry is not None and params.mtry < d
+    if drawn:
         feats = rng.choice(d, size=params.mtry, replace=False)
+        cand = np.take(order, feats, axis=0)
+        if rows is not None:
+            cand = cand[np.take(rows, cand)].reshape(feats.size, -1)
     else:
-        feats = np.arange(d)
+        feats, cand = np.arange(d), order
+    n = cand.shape[1]
+    lo, hi = params.min_leaf, n - params.min_leaf
     if params.random_thresholds:
         # One draw per feature that varies in this node, in feature order.
-        first, last = xt[feats, block[feats, 0]], xt[feats, block[feats, -1]]
+        first, last = xt[feats, cand[:, 0]], xt[feats, cand[:, -1]]
         varies = first != last
         thr = first.copy()
         thr[varies] = rng.uniform(first[varies], last[varies])
@@ -292,24 +313,24 @@ def _best_split(xt: np.ndarray, block: np.ndarray, criterion: _Criterion,
     step = max(1, BLOCK_VALUES // n)
     for start in range(0, feats.size, step):
         part = slice(start, start + step)
-        ids = block[feats[part]]
-        xs = xt[feats[part, None], ids]
-        c1 = np.cumsum(criterion.s1[ids], axis=1)
-        c2 = np.cumsum(criterion.s2[ids], axis=1)
+        ids = cand[part]
+        xs = np.take(xt, ids + feats[part, None] * n_total)  # xt[feats[part, None], ids]
+        c1 = np.cumsum(np.take(criterion.s1, ids), axis=1)
+        c2 = np.cumsum(np.take(criterion.s2, ids), axis=1)
         # Column k scores the boundary with lo + k samples on the left; a
         # boundary between equal values is no split.
         gain = criterion.gain(c1[:, lo - 1:hi], c2[:, lo - 1:hi], c1[:, -1:], c2[:, -1:])
         gain[xs[:, lo - 1:hi] >= xs[:, lo:hi + 1]] = -np.inf
-        rows = np.arange(len(ids))
+        i = np.arange(len(ids))
         if params.random_thresholds:
             at = np.count_nonzero(xs <= thr[part, None], axis=1)
             usable = varies[part] & (at >= lo) & (at <= hi)
             best[part] = -np.inf
-            best[start + rows[usable]] = gain[rows[usable], at[usable] - lo]
+            best[start + i[usable]] = gain[i[usable], at[usable] - lo]
         else:
             at = np.argmax(gain, axis=1) + lo
-            best[part] = gain[rows, at - lo]
-            thr[part] = xs[rows, at - 1]
+            best[part] = gain[i, at - lo]
+            thr[part] = xs[i, at - 1]
         pos[part] = at
     # The first feature with the largest gain above SPLIT_EPS wins.
     best[~(best > SPLIT_EPS)] = -np.inf
@@ -319,41 +340,65 @@ def _best_split(xt: np.ndarray, block: np.ndarray, criterion: _Criterion,
     # The sorted prefix is exactly the x <= threshold set, for drawn
     # thresholds as well as boundary values.
     go_left = np.zeros(n_total, dtype=bool)
-    go_left[block[feats[j], :pos[j]]] = True
-    return int(feats[j]), float(thr[j]), go_left[block]
+    go_left[cand[j, :pos[j]]] = True
+    return int(feats[j]), float(thr[j]), go_left
 
 
-def grow_tree(xt: np.ndarray, sorted_ids: np.ndarray, criterion: _Criterion,
-              params: TreeParams, rng: np.random.Generator | None) -> Tree:
+def grow_tree(xt: np.ndarray, order: np.ndarray, criterion: _Criterion,
+              params: TreeParams, rng: np.random.Generator | None,
+              rows: np.ndarray | None = None) -> Tree:
     """Build one tree.
 
-    xt: (d, n_total) float64 feature-major copy of the full dataset.
-    sorted_ids: (d, n) int32 row ids of THIS tree's samples; row f is
-    ascending by feature f, and all rows share one row multiset.
+    xt: (d, n_total) float64 feature-major copy of the dataset.
+    order: (d, n_total) int32 ``presort_columns`` of it; row f lists every
+    row id ascending by feature f.
+    rows: boolean (n_total,) mask of the tree's rows; None takes them all.
+
+    A node that scores every feature holds its (d, n) block of ``order``,
+    and its split partitions the block stably into the children's blocks.
+    A node that draws mtry < d features (forests) holds only its row mask.
+    Its leaf value sums over its rows in ascending order rather than by
+    feature 0; forest leaves sum integer bootstrap counts, which any order
+    sums exactly.
     """
-    d = xt.shape[0]
+    d, n_total = xt.shape
+    masked = params.mtry is not None and params.mtry < d
+    if masked:
+        root = np.ones(n_total, dtype=bool) if rows is None else rows
+    else:
+        root = order if rows is None else order[np.take(rows, order)].reshape(d, -1)
     # One row per node: [feature, threshold, left, right, value]. Both child
     # ids are allocated before either subtree grows; numbering the nodes
     # depth-first instead would change every saved model.
     nodes = [[-1, 0.0, -1, -1, 0.0]]
-    # (node, block, depth) still to grow. The left child is popped first, so
-    # nodes are split, and rng drawn, in the order a recursive build takes.
-    stack = [(0, sorted_ids, 0)]
+    # (node, row mask or block, depth) still to grow. The left child is
+    # popped first, so nodes are split, and rng drawn, in the order a
+    # recursive build takes.
+    stack = [(0, root, 0)]
     while stack:
-        node, block, depth = stack.pop()
-        n = block.shape[1]
-        nodes[node][4] = criterion.leaf(block[0])
+        node, part, depth = stack.pop()
+        ids = np.flatnonzero(part) if masked else part[0]
+        n = ids.size
+        nodes[node][4] = criterion.leaf(ids)
         if depth >= params.max_depth or n < params.min_split or n < 2 * params.min_leaf:
             continue
-        split = _best_split(xt, block, criterion, params, rng)
+        if masked:
+            split = _best_split(xt, order, criterion, params, rng, part)
+        else:
+            split = _best_split(xt, part, criterion, params, rng)
         if split is None:
             continue
-        feature, threshold, left = split
+        feature, threshold, go_left = split
         lid, rid = len(nodes), len(nodes) + 1
         nodes.extend(([-1, 0.0, -1, -1, 0.0], [-1, 0.0, -1, -1, 0.0]))
         nodes[node][:4] = feature, threshold, lid, rid
-        stack.append((rid, block[~left].reshape(d, -1), depth + 1))
-        stack.append((lid, block[left].reshape(d, -1), depth + 1))
+        if masked:
+            left, right = go_left, part & ~go_left
+        else:
+            goes = np.take(go_left, part)
+            left, right = part[goes].reshape(d, -1), part[~goes].reshape(d, -1)
+        stack.append((rid, right, depth + 1))
+        stack.append((lid, left, depth + 1))
     feature, threshold, left, right, value = zip(*nodes)
     return Tree(
         feature=np.asarray(feature, dtype=np.int32),
@@ -364,19 +409,34 @@ def grow_tree(xt: np.ndarray, sorted_ids: np.ndarray, criterion: _Criterion,
     )
 
 
-def presort_columns(X: np.ndarray):
-    """Feature-major copy of X plus each feature's stable ascending row ids,
-    shapes (d, n) and (d, n) int32. Each feature row sorts alone, so the
-    ids are sorted in blocks of about BLOCK_VALUES entries into the int32
-    array."""
-    xt = np.ascontiguousarray(X.T)
-    d, n = xt.shape
-    sorted_ids = np.empty((d, n), dtype=np.int32)
+def presort_columns(X: np.ndarray) -> np.ndarray:
+    """Each feature's stable ascending row ids of X, shape (d, n) int32.
+    Each feature sorts alone, so the ids are sorted in blocks of about
+    BLOCK_VALUES entries into the int32 array."""
+    n, d = X.shape
+    order = np.empty((d, n), dtype=np.int32)
     step = max(1, BLOCK_VALUES // max(n, 1))
     for start in range(0, d, step):
-        sorted_ids[start:start + step] = np.argsort(xt[start:start + step], axis=1,
-                                                    kind="stable")
-    return xt, sorted_ids
+        order[start:start + step] = np.argsort(X[:, start:start + step], axis=0,
+                                               kind="stable").T
+    return order
+
+
+def restrict_order(order: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``presort_columns(X[rows])`` from ``order = presort_columns(X)``, for
+    ascending ``rows``: a stable sort keeps tied rows in row order, so each
+    feature's entries for ``rows``, renumbered 0..len(rows)-1 in place, are
+    the subset's own stable order. Built in blocks of about BLOCK_VALUES
+    entries."""
+    d, n = order.shape
+    number = np.full(n, -1, dtype=np.int32)
+    number[rows] = np.arange(rows.size, dtype=np.int32)
+    out = np.empty((d, rows.size), dtype=np.int32)
+    step = max(1, BLOCK_VALUES // max(n, 1))
+    for start in range(0, d, step):
+        kept = np.take(number, order[start:start + step])
+        out[start:start + step] = kept[kept >= 0].reshape(-1, rows.size)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -395,15 +455,20 @@ class ForestModel:
 
 
 def fit_forest(X: np.ndarray, y: np.ndarray, w: np.ndarray, n_estimators: int,
-               params: TreeParams, rng: np.random.Generator) -> ForestModel:
+               params: TreeParams, rng: np.random.Generator,
+               order: np.ndarray | None = None) -> ForestModel:
     """Bagged gini trees. The bootstrap draws rows with probability
     proportional to the sample weights, which is how class weighting enters;
-    inside each tree the bootstrap multiplicities act as weights. An unset
-    mtry scans sqrt(d) features per node."""
+    inside each tree the bootstrap multiplicities act as weights, and the
+    rows drawn at least once are the root's row mask. An unset mtry scans
+    sqrt(d) features per node. ``order`` is ``presort_columns(X)``, computed
+    here when not given."""
     n, d = X.shape
     if one_class(y):
         raise DataError("forest training needs both classes")
-    xt, base_sorted = presort_columns(X)
+    xt = np.ascontiguousarray(X.T)
+    if order is None:
+        order = presort_columns(X)
     prob = w / w.sum()
     if params.mtry is None:
         params = replace(params, mtry=max(1, int(np.sqrt(d))))
@@ -412,9 +477,7 @@ def fit_forest(X: np.ndarray, y: np.ndarray, w: np.ndarray, n_estimators: int,
     for _ in range(n_estimators):
         counts = np.bincount(rng.choice(n, size=n, replace=True, p=prob),
                              minlength=n).astype(np.float64)
-        present = counts > 0
-        sorted_ids = base_sorted[present[base_sorted]].reshape(d, -1)
-        trees.append(grow_tree(xt, sorted_ids, _gini(y_float, counts), params, rng))
+        trees.append(grow_tree(xt, order, _gini(y_float, counts), params, rng, counts > 0))
     return ForestModel(trees=tuple(trees))
 
 
@@ -448,17 +511,21 @@ def _prior_log_odds(y: np.ndarray, w: np.ndarray) -> float:
 
 def _boost(X: np.ndarray, y: np.ndarray, w: np.ndarray, n_estimators: int,
            learning_rate: float, params: TreeParams,
-           criterion: Callable[[np.ndarray, np.ndarray], _Criterion]) -> BoostedModel:
+           criterion: Callable[[np.ndarray, np.ndarray], _Criterion],
+           order: np.ndarray | None) -> BoostedModel:
     """Stagewise log-loss boosting from the weighted prior log-odds: each
     round grows one tree on criterion(y, p) at the current probabilities p
-    and adds learning_rate times its output to the decision."""
-    xt, sorted_ids = presort_columns(X)
+    and adds learning_rate times its output to the decision. ``order`` is
+    ``presort_columns(X)``, computed here when not given."""
+    xt = np.ascontiguousarray(X.T)
+    if order is None:
+        order = presort_columns(X)
     y_float = y.astype(np.float64)
     f0 = _prior_log_odds(y_float, w)
     z = np.full(X.shape[0], f0)
     trees: list[Tree] = []
     for _ in range(n_estimators):
-        tree = grow_tree(xt, sorted_ids, criterion(y_float, sigmoid(z)), params, None)
+        tree = grow_tree(xt, order, criterion(y_float, sigmoid(z)), params, None)
         trees.append(tree)
         if tree.feature[0] < 0 and tree.value[0] == 0.0:
             break  # nothing left to move; later rounds would repeat this
@@ -468,15 +535,16 @@ def _boost(X: np.ndarray, y: np.ndarray, w: np.ndarray, n_estimators: int,
 
 def fit_gradient_boosting(X: np.ndarray, y: np.ndarray, w: np.ndarray,
                           n_estimators: int, learning_rate: float,
-                          params: TreeParams) -> BoostedModel:
+                          params: TreeParams, order: np.ndarray | None = None) -> BoostedModel:
     """Log-loss boosting: least-squares trees on residuals, Newton leaves."""
     return _boost(X, y, w, n_estimators, learning_rate, params,
-                  lambda y, p: _least_squares(y - p, p * (1.0 - p), w))
+                  lambda y, p: _least_squares(y - p, p * (1.0 - p), w), order)
 
 
 def fit_regularized_boosting(X: np.ndarray, y: np.ndarray, w: np.ndarray,
                              n_estimators: int, learning_rate: float,
-                             params: TreeParams, lam: float = 1.0) -> BoostedModel:
+                             params: TreeParams, lam: float = 1.0,
+                             order: np.ndarray | None = None) -> BoostedModel:
     """Second-order boosting: gain splits and -G/(H + lambda) leaves."""
     return _boost(X, y, w, n_estimators, learning_rate, params,
-                  lambda y, p: _second_order(w * (p - y), w * p * (1.0 - p), lam))
+                  lambda y, p: _second_order(w * (p - y), w * p * (1.0 - p), lam), order)

@@ -191,6 +191,57 @@ def write_comparison(config: PipelineConfig, guard: OutputGuard,
     write_json(guard.track(config.out(COMPARISON_FILE)), comparison_payload(bundle))
 
 
+def _check(ok: bool, path: Path, name: str, what: str) -> None:
+    if not ok:
+        raise DataError(f"{path}: {name} must be {what}")
+
+
+def _is_count(value) -> bool:
+    return type(value) is int and value >= 0
+
+
+def _is_number(value, high) -> bool:
+    """A JSON number from 0 to ``high``; nan and the bools are not."""
+    return type(value) in (int, float) and 0 <= value <= high
+
+
+def _outcome_table(obj, path: Path, name: str) -> OutcomeTable:
+    """The stored table ``name``: its counts non-negative ints, its
+    percentages numbers from 0 to 100 and its mean rank changes numbers
+    from 0 to 5."""
+    for attr in (*(attr for _, attr in OUTCOME_ROWS), "total"):
+        _check(_is_count(obj[attr]), path, f"{name}.{attr}", "a non-negative integer")
+    percentages = obj["percentages"]
+    _check(isinstance(percentages, dict), path, f"{name}.percentages", "an object")
+    for _, attr in OUTCOME_ROWS:
+        _check(_is_number(percentages[attr], 100), path, f"{name}.percentages.{attr}",
+               "a number from 0 to 100")
+    for attr in ("mean_improvement", "mean_degradation"):
+        _check(_is_number(obj[attr], 5), path, f"{name}.{attr}", "a number from 0 to 5")
+    return OutcomeTable(**obj)
+
+
+def _comparison_bundle(payload, path: Path) -> ComparisonBundle:
+    """The bundle ``payload`` stores. A value of the wrong type or range
+    raises ``DataError`` naming its field; a missing or extra field raises
+    ``KeyError`` or ``TypeError``."""
+    records = []
+    for i, obj in enumerate(payload["per_lineup"]):
+        _check(isinstance(obj["source"], str), path, f"per_lineup[{i}].source", "a string")
+        for key in ("rank_before", "rank_after"):
+            _check(type(obj[key]) is int and 0 <= obj[key] <= 5, path,
+                   f"per_lineup[{i}].{key}", "an integer from 0 to 5")
+        records.append(RankChangeRecord(obj["source"], obj["rank_before"], obj["rank_after"]))
+    failed = payload["failed"]
+    _check(isinstance(failed, list) and all(isinstance(s, str) for s in failed), path,
+           "failed", "a list of strings")
+    return ComparisonBundle(
+        RankChangeReport(tuple(records), change_histogram(records), tuple(failed)),
+        _outcome_table(payload["true_positive_table"], path, "true_positive_table"),
+        _outcome_table(payload["false_positive_table"], path, "false_positive_table"),
+    )
+
+
 def run_report(config: PipelineConfig) -> list[Path]:
     """Re-render the CSV reports from a stored comparison JSON."""
     comparison_path = config.out(COMPARISON_FILE)
@@ -202,16 +253,8 @@ def run_report(config: PipelineConfig) -> list[Path]:
     except json.JSONDecodeError as exc:
         raise DataError(f"{comparison_path}: malformed JSON ({exc.msg})") from None
     try:
-        records = tuple(
-            RankChangeRecord(o["source"], o["rank_before"], o["rank_after"])
-            for o in payload["per_lineup"]
-        )
-        bundle = ComparisonBundle(
-            RankChangeReport(records, change_histogram(records), tuple(payload["failed"])),
-            OutcomeTable(**payload["true_positive_table"]),
-            OutcomeTable(**payload["false_positive_table"]),
-        )
-        with OutputGuard() as guard:
-            return write_report_csvs(config, guard, bundle)
+        bundle = _comparison_bundle(payload, comparison_path)
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{comparison_path}: incomplete comparison detail ({exc!r})") from None
+    with OutputGuard() as guard:
+        return write_report_csvs(config, guard, bundle)

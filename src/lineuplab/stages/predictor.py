@@ -53,8 +53,10 @@ def stored_features(config: PipelineConfig):
 
 def run_train(config: PipelineConfig):
     ids, labels, matrix = stored_features(config)
-    data = dataset_from_arrays(matrix, labels, ids)
-    train, val, test = stratified_split(data, seed=config.train_seed)
+    train, val, test = stratified_split(dataset_from_arrays(matrix, labels, ids),
+                                        seed=config.train_seed)
+    # The three parts are copies; the parsed table is not held through the fit.
+    del ids, labels, matrix
     model = train_ensemble(
         train, val, EnsembleConfig.default(config.train_seed, config.estimators))
     if config.threshold_override is not None:

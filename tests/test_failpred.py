@@ -357,7 +357,7 @@ def _split_problem(criterion: str, n: int = 40):
 @pytest.mark.parametrize("criterion", ["gini", "lsq", "second_order"])
 def test_depth_one_tree_matches_exhaustive_split_oracle(criterion, min_leaf):
     X, crit, a, b = _split_problem(criterion)
-    xt, sorted_ids = learners.presort_columns(X)
+    xt, sorted_ids = np.ascontiguousarray(X.T), learners.presort_columns(X)
     params = TreeParams(max_depth=1, min_split=2, min_leaf=min_leaf)
     tree = learners.grow_tree(xt, sorted_ids, crit, params, None)
     feature, threshold, gain = oracles.best_split(X, a, b, criterion, min_leaf)
@@ -459,7 +459,7 @@ def test_grow_tree_frees_its_inputs_on_return():
     the criterion arrays are freed when the caller drops them, without
     waiting for the cyclic collector."""
     X, crit = _split_problem("gini")[:2]
-    xt, sorted_ids = learners.presort_columns(X)
+    xt, sorted_ids = np.ascontiguousarray(X.T), learners.presort_columns(X)
     refs = [weakref.ref(xt), weakref.ref(crit.s1), weakref.ref(crit.s2)]
     gc.disable()
     try:
@@ -536,7 +536,7 @@ def test_split_tie_across_a_block_boundary_picks_the_lower_feature(monkeypatch):
     # features 1 and 2 are the label's column twice, in blocks {0, 1} and {2, 3}
     X = np.column_stack([X[:, 4], X[:, 1], X[:, 1], X[:, 0]])
     monkeypatch.setattr(learners, "BLOCK_VALUES", 2 * X.shape[0])
-    xt, sorted_ids = learners.presort_columns(X)
+    xt, sorted_ids = np.ascontiguousarray(X.T), learners.presort_columns(X)
     split = learners._best_split(xt, sorted_ids, crit,
                                  TreeParams(max_depth=1, min_split=2, min_leaf=1), None)
     assert split[0] == 1
@@ -544,7 +544,7 @@ def test_split_tie_across_a_block_boundary_picks_the_lower_feature(monkeypatch):
 
 def test_split_scores_one_feature_per_block_past_the_budget(monkeypatch):
     X, crit = _split_problem("second_order")[:2]
-    xt, sorted_ids = learners.presort_columns(X)
+    xt, sorted_ids = np.ascontiguousarray(X.T), learners.presort_columns(X)
     params = TreeParams(max_depth=1, min_split=2, min_leaf=3)
     want = learners._best_split(xt, sorted_ids, crit, params, None)
     scored = []
@@ -562,8 +562,9 @@ def test_split_scores_one_feature_per_block_past_the_budget(monkeypatch):
 def test_split_search_memory_does_not_grow_with_the_features(rng):
     n, d = 2_000, 554
     X = rng.normal(size=(n, d))
-    (xt, sorted_ids), peak = traced_peak(lambda: learners.presort_columns(X))
-    assert peak <= xt.nbytes + sorted_ids.nbytes + 2**20
+    sorted_ids, peak = traced_peak(lambda: learners.presort_columns(X))
+    assert peak <= sorted_ids.nbytes + 2**20
+    xt = np.ascontiguousarray(X.T)
     y = (X[:, 0] > 0).astype(np.float64)
     crit = learners._second_order(0.4 - y, np.full(n, 0.24), 1.0)
     params = TreeParams(max_depth=6, min_split=4, min_leaf=1)
@@ -572,6 +573,94 @@ def test_split_search_memory_does_not_grow_with_the_features(rng):
     assert feature == 0
     # the (d, n) mask it returns, plus split temporaries that do not grow with d
     assert peak <= left.nbytes + 2 * 2**20
+
+
+def _rebalanced_rows(X, y, ratio=1.3):
+    """The ascending rows ``rebalance`` keeps of the numbered (X, y)."""
+    numbered = dataset_from_arrays(X, y, ids=range(len(y)))
+    return np.asarray(rebalance(numbered, RebalanceSpec(ratio, seed=2, objective="recall")).ids)
+
+
+def test_restricted_order_is_the_subsets_own_stable_sort():
+    X, y = _golden_problem()
+    X[:, 0] = np.round(X[:, 0])  # more ties; column 8 is constant
+    rows = _rebalanced_rows(X, y)
+    got = learners.restrict_order(learners.presort_columns(X), rows)
+    assert got.dtype == np.int32
+    assert np.array_equal(got, learners.presort_columns(X[rows]))
+
+
+@pytest.mark.parametrize("family", TREE_FAMILIES)
+def test_learner_fitted_from_the_shared_order_matches_its_own_presort(family):
+    """A learner given the training set's sort restricted to its rebalanced
+    rows writes the bytes of one that sorts those rows itself."""
+    X, y = _golden_problem()
+    rows = _rebalanced_rows(X, y)
+    config = BaseClassifierConfig(family=family, seed=7, n_estimators=3, max_depth=6,
+                                  min_split=4, min_leaf=2, class_weight=1.5)
+
+    def fit(*order):
+        return json.dumps(model_io._model_to_obj(train_base(config, X[rows], y[rows], *order)),
+                          sort_keys=True)
+
+    order = learners.restrict_order(learners.presort_columns(X), rows)
+    assert fit(order) == fit()
+
+
+def test_train_ensemble_sorts_the_training_rows_once(monkeypatch):
+    X, y = _golden_problem()
+    train, val, _ = stratified_split(dataset_from_arrays(X, y), seed=4)
+    calls = []
+
+    def presort(matrix):
+        calls.append(matrix.shape)
+        return presort_columns(matrix)
+
+    presort_columns = learners.presort_columns
+    monkeypatch.setattr(learners, "presort_columns", presort)
+    train_ensemble(train, val, EnsembleConfig.default(6, 2))
+    assert calls == [train.matrix.shape]
+
+
+def test_forest_nodes_read_only_the_feature_rows_they_drew():
+    """Every feature row of the order that no node of a forest tree drew is
+    replaced by out-of-range ids: the tree must not change, so no node read
+    a row it did not draw."""
+    rng = np.random.default_rng(17)
+    n, d = 120, 300
+    X = rng.normal(size=(n, d))
+    X[:, 1::2] = np.round(X[:, 1::2])
+    y = (X[:, :40].sum(axis=1) + rng.normal(size=n) > 0).astype(np.float64)
+    counts = np.bincount(rng.choice(n, size=n), minlength=n).astype(np.float64)
+    xt, order = np.ascontiguousarray(X.T), learners.presort_columns(X)
+    params = TreeParams(max_depth=4, min_split=4, min_leaf=2, mtry=3)
+    drawn = set()
+
+    class Recording:
+        """The generator, recording the features each node draws."""
+
+        def __init__(self, seed):
+            self.rng = np.random.default_rng(seed)
+
+        def choice(self, *args, **kwargs):
+            feats = self.rng.choice(*args, **kwargs)
+            drawn.update(feats.tolist())
+            return feats
+
+        def uniform(self, *args):
+            return self.rng.uniform(*args)
+
+    for random_thresholds in (False, True):
+        params = replace(params, random_thresholds=random_thresholds)
+        drawn.clear()
+        want = learners.grow_tree(xt, order, learners._gini(y, counts), params,
+                                  Recording(5), counts > 0)
+        assert want.feature.size > 7 and len(drawn) < d // 2
+        poisoned = order.copy()
+        poisoned[sorted(set(range(d)) - drawn)] = n + 1
+        got = learners.grow_tree(xt, poisoned, learners._gini(y, counts), params,
+                                 np.random.default_rng(5), counts > 0)
+        assert json.dumps(model_io._tree_to_obj(got)) == json.dumps(model_io._tree_to_obj(want))
 
 
 # ---------------------------------------------------------------------------

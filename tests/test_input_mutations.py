@@ -13,9 +13,11 @@ fresh-directory ``restore``, the manifest and results to ``features``,
 ``compare`` and ``restore``, the original corpus to ``evaluate``,
 ``compare`` and a fresh-directory ``restore``, the restored corpus to the
 last two, ``embeddings.bin`` to ``index``, ``evaluate`` and ``compare``, and
-the config to every command. Every run must exit 0, 1 or 2; a run that
-fails must print one stderr line, no traceback, and leave every byte of the
-output directory as it was.
+the config to every command, ``comparison.json`` to ``report``, and one
+PGM image (truncated, header bytes flipped, a maxval other than 255, or a
+2 x 2 image) to ``curate`` and ``features``. Every run must exit 0, 1 or 2;
+a run that fails must print one stderr line, no traceback, and leave every
+byte of the output directory as it was.
 """
 
 from __future__ import annotations
@@ -28,7 +30,15 @@ import numpy as np
 import pytest
 
 from lineuplab import cli
-from lineuplab.artifacts import FEATURES_FILE, MANIFEST_FILE, MODEL_FILE, RESULTS_FILE
+from lineuplab.artifacts import (
+    COMPARISON_FILE,
+    FEATURES_FILE,
+    MANIFEST_FILE,
+    MODEL_FILE,
+    OUTCOMES_FP_FILE,
+    OUTCOMES_TP_FILE,
+    RESULTS_FILE,
+)
 from lineuplab.corpus import ImageGray, ingest_embeddings, write_embeddings, write_pgm
 from lineuplab.imgfeat import CLASSICAL_FEATURE_COUNT, write_feature_csv
 
@@ -307,3 +317,64 @@ def test_damaged_config_fails_cleanly(configured, tmp_path, capsys, command, kin
             # of the wrong top-level values, only {} is a config: every leaf defaulted
             assert kind != "wrong_top_level" or damaged.read_bytes() == b"{}", \
                 f"mutant {i} was accepted"
+
+
+def test_damaged_comparison_fails_cleanly_or_renders_numbers(configured, tmp_path, capsys):
+    """``report`` on a damaged ``comparison.json``: a run that succeeds
+    renders an integer count and a number in every outcome row."""
+    _, bases = configured
+    rng = np.random.default_rng([SEED, 4])
+    source = bases["report"] / COMPARISON_FILE
+    for kind in JSON_KINDS:
+        for i in range(2 * MUTANTS_PER_KIND):
+            out = tmp_path / f"{kind}-{i}"
+            shutil.copytree(bases["report"], out)
+            (out / COMPARISON_FILE).write_bytes(_json_mutant(source.read_bytes(), kind, rng))
+            if _run_mutant(capsys, ["report", "--paths.output", str(out)], out, i):
+                continue
+            assert kind not in ALWAYS_FAILS, f"mutant {i} was accepted"
+            for name in (OUTCOMES_TP_FILE, OUTCOMES_FP_FILE):
+                for row in (out / name).read_text().splitlines()[1:]:
+                    _, count, percentage = row.split(",")
+                    int(count), float(percentage)
+
+
+def _pgm_mutant(data: bytes, kind: str, rng) -> bytes:
+    header = data.index(b"255\n") + 4
+    if kind == "truncate":
+        return data[:int(rng.integers(len(data)))]
+    if kind == "header_flip":
+        out = bytearray(data)
+        for at in rng.integers(header, size=int(rng.integers(1, 3))):
+            out[at] ^= int(rng.integers(1, 256))
+        return bytes(out)
+    if kind == "maxval":
+        maxval = str(rng.choice(["0", "1", "254", "256", "65535"])).encode()
+        return data[:header - 4] + maxval + data[header - 1:]
+    pixels = rng.integers(0, 256, size=(2, 2), dtype=np.uint8)  # tiny
+    return b"P5\n2 2\n255\n" + pixels.tobytes()
+
+
+PGM_KINDS = ("truncate", "header_flip", "maxval", "tiny")
+PGM_CASES = [(command, kind) for command in ("curate", "features") for kind in PGM_KINDS]
+
+
+@pytest.mark.parametrize("command, kind", PGM_CASES, ids=[f"{c}-pgm-{k}" for c, k in PGM_CASES])
+def test_damaged_image_fails_cleanly(workspace, tmp_path, capsys, command, kind):
+    """Every corpus image is a lineup source, so both commands read it."""
+    rng = np.random.default_rng([SEED, 5, PGM_CASES.index((command, kind))])
+    images = sorted((workspace / "images").iterdir())
+    for i in range(MUTANTS_PER_KIND):
+        out = tmp_path / f"m{i}"
+        if command == "curate":
+            out.mkdir()
+        else:
+            shutil.copytree(workspace / "base", out)
+        damaged = tmp_path / f"{i}-images"
+        shutil.copytree(workspace / "images", damaged)
+        image = damaged / images[int(rng.integers(len(images)))].name
+        image.write_bytes(_pgm_mutant(image.read_bytes(), kind, rng))
+        args = [command, "--config", str(workspace / "config.json"),
+                "--paths.output", str(out), "--paths.images", str(damaged)]
+        if _run_mutant(capsys, args, out, i) == 0:
+            assert kind not in ("truncate", "maxval"), f"mutant {i} was accepted"

@@ -20,7 +20,8 @@ import numpy as np
 import pytest
 
 import oracles
-from lineuplab import artifacts, cli, pipeline
+from conftest import traced_peak
+from lineuplab import artifacts, cli, pipeline, report
 from lineuplab.corpus import (
     ImageGray,
     TOO_DARK,
@@ -1023,6 +1024,43 @@ def test_cli_train_creates_the_model_directory(chain, tmp_path):
     assert load_model(model_path).threshold == load_model(chain.out / MODEL_FILE).threshold
 
 
+def test_run_train_does_not_hold_the_parsed_table_through_the_fit(tmp_path):
+    """2,000 x 200 rows: the parsed table is dropped once the split has
+    copied its parts, so the fit runs beside the parts, the standardized
+    training rows, their one shared sort and one learner's copies."""
+    rng = np.random.default_rng(41)
+    n, d = 2_000, 200
+    labels = (rng.random(n) < 0.3).astype(np.int64)
+    matrix = rng.normal(size=(n, d))
+    matrix[:, :3] += 1.2 * labels[:, None]
+    write_feature_csv([f"s{i:05d}" for i in range(n)], labels, matrix, tmp_path / FEATURES_FILE)
+    config = load_config(None, {"paths.output": str(tmp_path), "train.estimators": 2})
+    _, peak = traced_peak(lambda: predictor_stages.run_train(config))
+    assert peak <= 5.0 * matrix.nbytes
+
+
+@pytest.mark.parametrize("command", ["train", "features"])
+def test_output_path_that_is_a_directory_exits_1_and_moves_nothing(chain, tmp_path, capsys,
+                                                                   command):
+    out = tmp_path / "out"
+    shutil.copytree(chain.out, out)
+    args = [command, "--config", str(chain.ws.config), "--paths.output", str(out)]
+    if command == "train":
+        target = tmp_path / "model_dir"
+        args += ["--paths.model", str(target)]
+    else:
+        target = out / FEATURES_FILE
+        target.unlink()
+    target.mkdir()
+    before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    assert cli.main(args) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: output path is a directory: {target}\n"
+    assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+    assert target.is_dir() and list(target.iterdir()) == []
+    assert [p.name for p in tmp_path.rglob("*.tmp")] == []
+
+
 @pytest.mark.parametrize("label", ["2", "300", "-1", "1_0"])
 def test_cli_train_rejects_labels_other_than_0_and_1(chain, tmp_path, capsys, label):
     out = tmp_path / "out"
@@ -1094,6 +1132,57 @@ def test_cli_report_rejects_malformed_comparison_exits_2(tmp_path, capsys, conte
     (out / COMPARISON_FILE).write_bytes(content)
     assert cli.main(["report", "--paths.output", str(out)]) == 2
     assert "comparison.json" in capsys.readouterr().err
+    assert [p.name for p in out.iterdir()] == [COMPARISON_FILE]
+
+
+def _stored_comparison() -> dict:
+    records = (report.RankChangeRecord("a", 2, 0), report.RankChangeRecord("b", 0, 1),
+               report.RankChangeRecord("c", 1, 1))
+    changes = report.RankChangeReport(records, report.change_histogram(records), ("d",))
+    table = report.summarize_outcomes(changes, [None] * 4)
+    return report.comparison_payload(report.ComparisonBundle(changes, table, table))
+
+
+def test_cli_report_renders_a_stored_comparison(tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / COMPARISON_FILE).write_text(json.dumps(_stored_comparison()))
+    assert cli.main(["report", "--paths.output", str(out)]) == 0
+    assert (out / OUTCOMES_TP_FILE).read_text().splitlines()[1:3] == [
+        "Rank Improvements,1,25.0", "Rank Degradations,1,25.0"]
+
+
+@pytest.mark.parametrize("path, value, field", [
+    (("true_positive_table", "degradations"), None, "true_positive_table.degradations"),
+    (("true_positive_table", "degradations"), "x", "true_positive_table.degradations"),
+    (("false_positive_table", "total"), -1, "false_positive_table.total"),
+    (("false_positive_table", "unchanged"), 1.0, "false_positive_table.unchanged"),
+    (("true_positive_table", "percentages", "unchanged"), "5",
+     "true_positive_table.percentages.unchanged"),
+    (("true_positive_table", "percentages", "unchanged"), float("nan"),
+     "true_positive_table.percentages.unchanged"),
+    (("true_positive_table", "percentages"), [], "true_positive_table.percentages"),
+    (("false_positive_table", "mean_improvement"), True, "false_positive_table.mean_improvement"),
+    (("per_lineup", 0, "rank_before"), True, "per_lineup[0].rank_before"),
+    (("per_lineup", 1, "rank_after"), 6, "per_lineup[1].rank_after"),
+    (("per_lineup", 2, "rank_after"), 0.0, "per_lineup[2].rank_after"),
+    (("per_lineup", 2, "source"), 3, "per_lineup[2].source"),
+    (("failed",), "ab", "failed"),
+    (("failed",), ["d", 1], "failed"),
+])
+def test_cli_report_names_the_malformed_field_and_exits_2(tmp_path, capsys, path, value, field):
+    payload = _stored_comparison()
+    node = payload
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / COMPARISON_FILE).write_text(json.dumps(payload))
+    assert cli.main(["report", "--paths.output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and f"comparison.json: {field} must be " in err
+    assert err.count("\n") == 1
     assert [p.name for p in out.iterdir()] == [COMPARISON_FILE]
 
 
