@@ -1,6 +1,5 @@
-"""Run configuration: the ``PipelineConfig`` every command takes, the dotted
-leaves the config file and the command-line flags set, and the curation
-thresholds.
+"""Run configuration: the ``PipelineConfig`` every command takes and the
+dotted leaves the config file and the command-line flags set.
 
 Configuration is a JSON file of nested sections; every leaf value can be
 overridden on the command line by a flag carrying the same dotted name.
@@ -22,15 +21,6 @@ MAX_HOOK_TIMEOUT_S = 2_147_483
 
 
 @dataclass(frozen=True)
-class CurationConfig:
-    """Thresholds for the mechanical curation rules."""
-
-    dark_threshold: float = 30.0     # mean intensity below this is TOO_DARK
-    bright_threshold: float = 225.0  # mean intensity above this is TOO_BRIGHT
-    blur_threshold: float = 15.0     # Laplacian variance below this is TOO_BLURRY
-
-
-@dataclass(frozen=True)
 class PipelineConfig:
     embeddings_original: str | None = None
     embeddings_restored: str | None = None
@@ -40,9 +30,9 @@ class PipelineConfig:
     model: str | None = None
     lineup_seed: int = 0
     distinct_fillers: bool = False
-    dark_threshold: float = CurationConfig.dark_threshold
-    bright_threshold: float = CurationConfig.bright_threshold
-    blur_threshold: float = CurationConfig.blur_threshold
+    dark_threshold: float = 30.0     # mean intensity below this is TOO_DARK
+    bright_threshold: float = 225.0  # mean intensity above this is TOO_BRIGHT
+    blur_threshold: float = 15.0     # Laplacian variance below this is TOO_BLURRY
     train_seed: int = 0
     estimators: int = 100
     target: str = "source"  # which lineup image feeds failure prediction
@@ -80,13 +70,6 @@ class PipelineConfig:
             raise ConfigError(
                 f"hook.failure_threshold must lie in [0, 1], got {self.hook_failure_threshold}"
             )
-
-    def curation_rules(self) -> CurationConfig:
-        return CurationConfig(
-            dark_threshold=self.dark_threshold,
-            bright_threshold=self.bright_threshold,
-            blur_threshold=self.blur_threshold,
-        )
 
     def out(self, name: str) -> Path:
         return Path(self.output) / name

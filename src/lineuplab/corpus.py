@@ -20,8 +20,7 @@ little-endian floats.
     format  header                   vectors
     LNUP    <IQ  dim, count          float32 (<f4)
     LNUI    <IQB dim, count, flags   float64 (<f8); flags is 1: the
-                                     vectors are unit-normalized. No other
-                                     value loads.
+                                     vectors are unit-normalized.
 
 Round-trips are bit-exact.
 
@@ -39,11 +38,14 @@ import json
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from lineuplab.config import CurationConfig
 from lineuplab.errors import DataError, open_text
+
+if TYPE_CHECKING:
+    from lineuplab.config import PipelineConfig
 
 ImageId = str
 
@@ -451,19 +453,20 @@ class CurationReport:
 
 
 def curate(corpus: CorpusHandle, landmarks: LandmarkTable, images_dir,
-           rules: CurationConfig) -> CurationReport:
+           config: PipelineConfig) -> CurationReport:
     """Apply mechanical curation rules and return survivors plus removals.
 
     Each removed image carries exactly one reason code, checked in order:
     NO_IMAGE (file missing), NO_FACE (no landmark entry), TOO_DARK,
-    TOO_BRIGHT, TOO_BLURRY. Curation is idempotent: re-curating the
-    survivors removes nothing.
+    TOO_BRIGHT, TOO_BLURRY; the last three compare against ``config``'s
+    threshold leaves. Curation is idempotent: re-curating the survivors
+    removes nothing.
     """
     images_dir = Path(images_dir)
     removed: list[tuple[ImageId, str]] = []
     kept: list[ImageId] = []
     for image_id in corpus.ids:
-        reason = _curation_reason(image_id, landmarks, images_dir, rules)
+        reason = _curation_reason(image_id, landmarks, images_dir, config)
         if reason is None:
             kept.append(image_id)
         else:
@@ -474,7 +477,7 @@ def curate(corpus: CorpusHandle, landmarks: LandmarkTable, images_dir,
     return CurationReport(tuple(removed), corpus.subset(kept), counts)
 
 
-def _curation_reason(image_id, landmarks, images_dir, rules) -> str | None:
+def _curation_reason(image_id, landmarks, images_dir, config) -> str | None:
     from lineuplab import filters  # only curation needs the image kernels
 
     path = image_path(images_dir, image_id)
@@ -485,10 +488,10 @@ def _curation_reason(image_id, landmarks, images_dir, rules) -> str | None:
     img = load_grayscale_image(path)
     pixels = img.pixels.astype(np.float64)
     mean = float(pixels.mean())
-    if mean < rules.dark_threshold:
+    if mean < config.dark_threshold:
         return TOO_DARK
-    if mean > rules.bright_threshold:
+    if mean > config.bright_threshold:
         return TOO_BRIGHT
-    if filters.laplacian_variance(pixels) < rules.blur_threshold:
+    if filters.laplacian_variance(pixels) < config.blur_threshold:
         return TOO_BLURRY
     return None

@@ -22,11 +22,11 @@ def read_feature_csv(path):
     features.
 
     The rows are parsed in one ``np.loadtxt`` pass, whose values equal
-    ``float()``'s bit for bit. Anything that pass refuses (a ragged row, an
-    empty line, a cell ``float()`` reads but numpy does not, a label other
-    than ``0``/``1``, a record spanning lines, no rows at all) is read again
-    by ``_read_rows``, the row loop that either returns ``float()``'s arrays
-    or names ``file:line``.
+    ``float()``'s bit for bit. Anything that pass refuses (a quoted cell, a
+    ragged row, an empty line, a cell ``float()`` reads but numpy does not,
+    a label other than ``0``/``1``, no rows at all) is read again by
+    ``_read_rows``, the row loop that either returns ``float()``'s arrays or
+    names ``file:line``.
     """
     path = Path(path)
     if not path.is_file():
@@ -54,32 +54,21 @@ def _read_header(path: Path, fh) -> list[str]:
 def _parse_rows(fh, width: int):
     """One float-only ``np.loadtxt`` pass, straight into the C-contiguous
     (rows, width) matrix. Each line after the header is cut here into its
-    id, label and feature cells (with ``csv.reader`` when it holds a quote),
-    and loadtxt reads the feature cells alone. What that pass would let
-    through raises ``ValueError`` here: an empty line or feature part
-    (loadtxt skips it), no lines at all (it only warns), a line longer than
-    the ``csv`` field limit, a line with an odd number of quotes (its record
-    may span lines, or hold a cell ``csv.reader`` refuses as too long), a
-    quoted feature cell holding a comma (joined back, it would read as two
-    cells), a label whose text is not ``0`` or ``1`` and rows of another
-    width."""
+    id, label and feature cells, and loadtxt reads the feature cells alone.
+    What that pass would let through raises ``ValueError`` here: a line
+    holding a quote (the row loop reads ``csv`` quoting), an empty line or
+    feature part (loadtxt skips it), no lines at all (it only warns), a line
+    longer than the ``csv`` field limit, a label whose text is not ``0`` or
+    ``1`` and rows of another width."""
     limit = csv.field_size_limit()
     ids: list[str] = []
     ones: list[bool] = []
 
     def cells():
         for line in fh:
-            if len(line) > limit:
-                raise ValueError("over-long line")
-            if '"' in line:
-                if line.count('"') % 2:
-                    raise ValueError("a quoted cell may span lines")
-                ident, label, *rest = next(csv.reader([line]))
-                if len(rest) != width or any("," in cell for cell in rest):
-                    raise ValueError("a row of another width, or a comma inside a feature cell")
-                values = ",".join(rest)
-            else:
-                ident, label, values = line.split(",", 2)
+            if len(line) > limit or '"' in line:
+                raise ValueError("an over-long line, or a quote")
+            ident, label, values = line.split(",", 2)
             if label not in ("0", "1") or values in ("", "\n", "\r\n", "\r"):
                 raise ValueError("a label other than 0 or 1, or no feature cells")
             ids.append(ident)
@@ -90,7 +79,7 @@ def _parse_rows(fh, width: int):
 
     matrix = np.loadtxt(cells(), dtype=np.float64, delimiter=",", comments=None, ndmin=2)
     if matrix.shape != (len(ids), width):
-        raise ValueError("a row of another width, or a record across lines")
+        raise ValueError("a row of another width")
     return ids, np.asarray(ones, dtype=np.int64), matrix
 
 

@@ -31,7 +31,6 @@ from lineuplab.artifacts import (
 from lineuplab.config import (
     CONFIG_LEAVES,
     MAX_HOOK_TIMEOUT_S,
-    CurationConfig,
     PipelineConfig,
     load_config,
 )

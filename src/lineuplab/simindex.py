@@ -21,9 +21,9 @@ Numerical Algorithms*, section 3.1), so they differ by at most
 above tau - 2 gamma_d |q| |r| under einsum, so the k-th best einsum score is
 too; a row that reaches it under einsum is within a further 2 gamma_d |q| |r|
 of it under BLAS. The bound applies once to tau and once to the row, hence
-the factor 4. |r| is 1: index rows are unit length, and ``load_index``
-rejects a stored row further than ``_UNIT_TOLERANCE`` from it. gamma is taken
-for d + 1 roundings, which covers that slack and forming the threshold.
+the factor 4. |r| is 1: index rows come only from ``l2_normalize``, and
+gamma is taken for d + 1 roundings, which covers their deviation from unit
+length and forming the threshold.
 BLAS scores never decide a rank: they round differently from einsum, so
 ties and near-ties would change.
 """
@@ -36,13 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from lineuplab.corpus import (
-    CorpusHandle,
-    ImageId,
-    _make_handle,
-    read_container,
-    write_container,
-)
+from lineuplab.corpus import CorpusHandle, ImageId, write_container
 from lineuplab.errors import DataError
 
 INDEX_MAGIC = b"LNUI"
@@ -52,7 +46,6 @@ DEFAULT_BATCH_SIZE = 256
 # float64 values (2 MiB) in one block of BLAS scores or gathered lineup rows
 BLOCK_VALUES = 2 ** 18
 _UNIT_ROUNDOFF = 2.0 ** -53
-_UNIT_TOLERANCE = 1e-9  # how far a stored unit row's norm may sit from 1
 
 
 def l2_normalize(matrix: np.ndarray, ids) -> np.ndarray:
@@ -162,47 +155,19 @@ class SearchIndex:
         return self.matrix[self.corpus.row(image_id)]
 
 
-def _make_index(corpus: CorpusHandle, matrix: np.ndarray) -> SearchIndex:
-    matrix.flags.writeable = False
+def build_index(corpus: CorpusHandle) -> SearchIndex:
+    """Normalize every corpus vector and index it in corpus order."""
+    matrix = l2_normalize(corpus.matrix, corpus.ids)
     ids = corpus.ids
     id_order = np.empty(len(ids), dtype=np.int64)
     id_order[np.argsort(np.asarray(ids, dtype=object), kind="stable")] = np.arange(len(ids))
     code_of = {identity: code for code, identity in enumerate(corpus.identity_index)}
     identity_codes = np.fromiter((code_of[t] for t in corpus.identities), dtype=np.int64,
                                  count=len(ids))
-    for array in (id_order, identity_codes):
+    for array in (matrix, id_order, identity_codes):
         array.flags.writeable = False
     return SearchIndex(corpus=corpus, matrix=matrix, id_order=id_order,
                        identity_codes=identity_codes)
-
-
-def build_index(corpus: CorpusHandle) -> SearchIndex:
-    """Normalize every corpus vector and index it in corpus order."""
-    return _make_index(corpus, l2_normalize(corpus.matrix, corpus.ids))
-
-
-def _top_k_rows(scores: np.ndarray, id_order: np.ndarray, k: int) -> np.ndarray:
-    """Positions of the exact top k in one query's score vector (k <= size).
-
-    Selection partitions on score alone, then resolves the boundary: every
-    candidate tied with the k-th score competes by ascending image id. The
-    result matches a full sort by (-score, id).
-    """
-    n = scores.shape[0]
-    if k == n:
-        chosen = np.arange(n)
-    else:
-        part = np.argpartition(scores, n - k)
-        chosen = part[n - k:]
-        threshold = scores[chosen].min()
-        # Pull in every candidate tied with the boundary score, then let the
-        # id tie-break decide which of them survive.
-        if np.count_nonzero(scores == threshold) > np.count_nonzero(
-            scores[chosen] == threshold
-        ):
-            chosen = np.flatnonzero(scores >= threshold)
-    ranked = chosen[np.lexsort((id_order[chosen], -scores[chosen]))]
-    return ranked[:k]
 
 
 def _shortlist(approx: np.ndarray, k: int, dim: int, scale: float) -> np.ndarray:
@@ -302,7 +267,7 @@ def search_batch(index: SearchIndex, queries, k: int,
         for j, qid in enumerate(block_ids):
             cand = _shortlist(approx[j], k, index.dim, norms[j])
             scores = score_kernel(block[j:j + 1], corpus[cand])[0]
-            top = _top_k_rows(scores, index.id_order[cand], k)
+            top = np.lexsort((index.id_order[cand], -scores))[:k]
             results.append(TopKResult(query_id=qid, hits=_hits(index, cand[top], scores[top])))
     return results
 
@@ -310,12 +275,12 @@ def search_batch(index: SearchIndex, queries, k: int,
 def brute_force_topk(index: SearchIndex, query: np.ndarray, k: int,
                      exclude: ExclusionRule = NoExclusion(),
                      query_id: ImageId | None = None) -> TopKResult:
-    """Reference search: full sort over all candidates, no partitioning.
+    """Reference search: scores every row and sorts them all by (-score, id).
 
-    Shares the score kernel with search_batch but scores every row and
-    selects by a complete lexicographic sort, so agreement between the two
-    checks the shortlist and the partition logic rather than a shared
-    shortcut.
+    It shares the score kernel and the sort rule with search_batch but skips
+    the shortlist, so agreement between the two checks the shortlist. The
+    sort rule itself is checked against ``naive_search`` in the test
+    oracles.
     """
     query = np.asarray(query, dtype=np.float64)
     if query.ndim != 1:
@@ -351,23 +316,3 @@ def _hits(index: SearchIndex, rows: np.ndarray, scores: np.ndarray) -> tuple[Sea
 def save_index(index: SearchIndex, path) -> Path:
     return write_container(path, INDEX_MAGIC, _HEADER.pack(index.dim, index.count, 1),
                            index.corpus.ids, index.corpus.identities, index.matrix, "<f8")
-
-
-def load_index(path) -> SearchIndex:
-    path = Path(path)
-    if not path.is_file():
-        raise DataError(f"index file not found: {path}")
-    with open(path, "rb") as fh:
-        if fh.read(4) != INDEX_MAGIC:
-            raise DataError(f"{path}: not an index file")
-    (_, _, flags), ids, identities, matrix = read_container(path, INDEX_MAGIC, _HEADER, "<f8")
-    if flags != 1:
-        raise DataError(f"{path}: flags {flags} unsupported (want 1, unit-normalized rows)")
-    norms = np.sqrt(np.einsum("nd,nd->n", matrix, matrix))
-    off = np.flatnonzero(np.abs(norms - 1.0) > _UNIT_TOLERANCE)
-    if off.size:
-        n = int(off[0])
-        raise DataError(f"{path}: record {n} ({ids[n]!r}) is flagged unit length "
-                        f"but has norm {norms[n]!r}")
-    handle = _make_handle(ids, identities, matrix.astype(np.float32), str(path))
-    return _make_index(handle, matrix)

@@ -42,7 +42,7 @@ def run_curate(config: PipelineConfig):
     handle = load_corpus(config)
     landmarks = ingest_landmarks(require_path(config, "paths.landmarks"))
     images_dir = require_path(config, "paths.images")
-    report = corpus_mod.curate(handle, landmarks, images_dir, config.curation_rules())
+    report = corpus_mod.curate(handle, landmarks, images_dir, config)
     with OutputGuard() as guard:
         corpus_mod.write_embeddings(report.retained, guard.track(config.out(CURATED_FILE)))
         write_json(guard.track(config.out(CURATION_REPORT_FILE)), {

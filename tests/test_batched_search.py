@@ -10,7 +10,7 @@ import oracles
 from conftest import write_jsonl_corpus
 from lineuplab import lineup as lineup_mod
 from lineuplab import simindex
-from lineuplab.corpus import ingest_embeddings, write_container
+from lineuplab.corpus import ingest_embeddings
 from lineuplab.errors import DataError
 from lineuplab.lineup import FILLER_COUNT, compare_variants, draw_probe, evaluate_corpus
 from lineuplab.simindex import (
@@ -18,7 +18,6 @@ from lineuplab.simindex import (
     ExcludeOwnIdentity,
     brute_force_topk,
     build_index,
-    load_index,
     score_kernel,
     search_batch,
 )
@@ -88,21 +87,6 @@ def test_non_finite_query_names_the_query(tmp_path):
     # Finite components whose squared norm overflows float64.
     with pytest.raises(DataError, match="query 'big': non-finite"):
         search_batch(index, [("big", good * 1e200)], 3)
-
-
-def test_load_index_rejects_flagged_rows_that_are_not_unit(tmp_path):
-    """The shortlist margin assumes unit rows; a stored index that claims
-    them must have them."""
-    path = tmp_path / "x.index"
-    matrix = np.array([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]])
-    header = simindex._HEADER.pack(2, 3, 1)
-    write_container(path, simindex.INDEX_MAGIC, header, ["a", "b", "c"], ["p", "q", "r"],
-                    matrix, "<f8")
-    assert load_index(path).count == 3
-    write_container(path, simindex.INDEX_MAGIC, header, ["a", "b", "c"], ["p", "q", "r"],
-                    matrix * [[1.0], [3.0], [1.0]], "<f8")
-    with pytest.raises(DataError, match=r"record 1 \('b'\) is flagged unit length"):
-        load_index(path)
 
 
 # ---------------------------------------------------------------------------

@@ -4,25 +4,26 @@ import numpy as np
 import pytest
 
 from conftest import make_corpus, random_records, write_jsonl_corpus
-from lineuplab import corpus
+from lineuplab import corpus, simindex
+from lineuplab.config import PipelineConfig
 from lineuplab.corpus import (
     NO_FACE,
     NO_IMAGE,
     TOO_BLURRY,
     TOO_BRIGHT,
     TOO_DARK,
-    CurationConfig,
     ImageGray,
     curate,
     image_path,
     ingest_embeddings,
     ingest_landmarks,
     load_grayscale_image,
+    read_container,
     write_embeddings,
     write_pgm,
 )
 from lineuplab.errors import DataError
-from lineuplab.simindex import build_index, load_index, save_index
+from lineuplab.simindex import build_index, save_index
 
 
 def test_jsonl_ingest_basic(tmp_path, rng):
@@ -143,7 +144,8 @@ def test_every_truncated_container_is_a_data_error(tmp_path, rng):
     handle = make_corpus(tmp_path, rng, n_identities=2, per_identity=2, dim=3)
     containers = (
         (write_embeddings(handle, tmp_path / "c.bin").read_bytes(), ingest_embeddings),
-        (save_index(build_index(handle), tmp_path / "c.index").read_bytes(), load_index),
+        (save_index(build_index(handle), tmp_path / "c.index").read_bytes(),
+         lambda path: read_container(path, simindex.INDEX_MAGIC, simindex._HEADER, "<f8")),
     )
     cut = tmp_path / "cut"
     for data, load in containers:
@@ -326,7 +328,7 @@ def _curation_fixture(tmp_path, rng):
 
 def test_curation_reasons_and_partition(tmp_path, rng):
     handle, table, images = _curation_fixture(tmp_path, rng)
-    report = curate(handle, table, images, CurationConfig())
+    report = curate(handle, table, images, PipelineConfig())
     reasons = dict(report.removed)
     assert reasons == {
         "dark": TOO_DARK,
@@ -343,7 +345,7 @@ def test_curation_reasons_and_partition(tmp_path, rng):
 def test_curation_reason_precedence(tmp_path, rng):
     # A dark image with no landmarks: the landmark gate fires first.
     handle, table, images = _curation_fixture(tmp_path, rng)
-    report = curate(handle, {}, images, CurationConfig())
+    report = curate(handle, {}, images, PipelineConfig())
     reasons = dict(report.removed)
     assert reasons["dark"] == NO_FACE
     assert reasons["missing"] == NO_IMAGE
@@ -351,14 +353,14 @@ def test_curation_reason_precedence(tmp_path, rng):
 
 def test_curation_idempotent(tmp_path, rng):
     handle, table, images = _curation_fixture(tmp_path, rng)
-    first = curate(handle, table, images, CurationConfig())
-    second = curate(first.retained, table, images, CurationConfig())
+    first = curate(handle, table, images, PipelineConfig())
+    second = curate(first.retained, table, images, PipelineConfig())
     assert second.removed == ()
     assert second.retained.ids == first.retained.ids
 
 
 def test_curation_threshold_config(tmp_path, rng):
     handle, table, images = _curation_fixture(tmp_path, rng)
-    lax = CurationConfig(dark_threshold=0.0, bright_threshold=255.0, blur_threshold=0.0)
+    lax = PipelineConfig(dark_threshold=0.0, bright_threshold=255.0, blur_threshold=0.0)
     report = curate(handle, table, images, lax)
     assert dict(report.removed) == {"missing": NO_IMAGE, "faceless": NO_FACE}

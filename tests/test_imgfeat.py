@@ -302,9 +302,9 @@ FEATURE_CSV_CASES = [
     ("short_row", HEADER + "x,1,1,2\ny,0,3\n", True),
     ("long_row", HEADER + "x,1,1,2,5\n", True),
     ("trailing_comma", HEADER + "x,1,1,2,\n", True),
-    ("quoted_comma", HEADER + '"x,y",1,1,2\n', False),
-    ("quoted_quote", HEADER + '"x""y",0,1,2\n', False),
-    ("quoted_cell", HEADER + 'x,1,"1.5",2\n', False),
+    ("quoted_comma", HEADER + '"x,y",1,1,2\n', True),
+    ("quoted_quote", HEADER + '"x""y",0,1,2\n', True),
+    ("quoted_cell", HEADER + 'x,1,"1.5",2\n', True),
     ("quoted_comma_in_cell", HEADER + 'x,1,"1,2"\n', True),
     ("quoted_comma_in_cell_full_width", HEADER + 'x,1,"1,2",3\n', True),
     ("quoted_newline", HEADER + '"x\ny",1,1,2\nz,0,3,4\n', True),
@@ -322,7 +322,7 @@ FEATURE_CSV_CASES = [
     ("hex_value", HEADER + "x,1,0x10,2\n", True),
     ("label_space_before", HEADER + "x, 1,1,2\n", True),
     ("label_space_after", HEADER + "x,1 ,1,2\n", True),
-    ("label_quoted", HEADER + 'x,"1",1,2\n', False),
+    ("label_quoted", HEADER + 'x,"1",1,2\n', True),
     ("label_two", HEADER + "x,2,1,2\n", True),
     ("special_values", HEADER + "x,1,nan,-inf\ny,0,-0,1e400\nz,1,-nan, 1.5 \n", False),
     ("no_rows", HEADER, True),
