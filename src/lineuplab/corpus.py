@@ -462,11 +462,14 @@ def curate(corpus: CorpusHandle, landmarks: LandmarkTable, images_dir,
     threshold leaves. Curation is idempotent: re-curating the survivors
     removes nothing.
     """
+    from lineuplab import filters  # only curation needs the image kernels
+
     images_dir = Path(images_dir)
+    work = filters.Workspace()  # the blur rule's planes, reused from image to image
     removed: list[tuple[ImageId, str]] = []
     kept: list[ImageId] = []
     for image_id in corpus.ids:
-        reason = _curation_reason(image_id, landmarks, images_dir, config)
+        reason = _curation_reason(image_id, landmarks, images_dir, config, work)
         if reason is None:
             kept.append(image_id)
         else:
@@ -477,21 +480,22 @@ def curate(corpus: CorpusHandle, landmarks: LandmarkTable, images_dir,
     return CurationReport(tuple(removed), corpus.subset(kept), counts)
 
 
-def _curation_reason(image_id, landmarks, images_dir, config) -> str | None:
-    from lineuplab import filters  # only curation needs the image kernels
+def _curation_reason(image_id, landmarks, images_dir, config, work) -> str | None:
+    from lineuplab import filters
 
     path = image_path(images_dir, image_id)
     if not path.is_file():
         return NO_IMAGE
     if image_id not in landmarks:
         return NO_FACE
-    img = load_grayscale_image(path)
-    pixels = img.pixels.astype(np.float64)
+    pixels = load_grayscale_image(path).pixels
+    # Both statistics sum integers exactly, as they would on float64 pixels.
     mean = float(pixels.mean())
     if mean < config.dark_threshold:
         return TOO_DARK
     if mean > config.bright_threshold:
         return TOO_BRIGHT
-    if filters.laplacian_variance(pixels) < config.blur_threshold:
+    blur = filters.laplacian_variance(pixels, work, work.plane("laplacian", pixels.shape))
+    if blur < config.blur_threshold:
         return TOO_BLURRY
     return None

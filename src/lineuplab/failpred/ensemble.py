@@ -312,9 +312,13 @@ class EnsembleModel:
 
 
 def train_ensemble(train: LabeledDataset, val: LabeledDataset,
-                   config: EnsembleConfig) -> EnsembleModel:
+                   config: EnsembleConfig, *, overwrite_input: bool = False) -> EnsembleModel:
+    """The two-cohort ensemble fitted on ``train``, its threshold tuned on
+    ``val``. With ``overwrite_input`` the training rows are standardized in
+    place, so the fit holds no second copy of them, and the caller must
+    read nothing from ``train.matrix`` afterwards."""
     standardizer = fit_standardizer(train.matrix)
-    Xtr = standardizer.transform(train.matrix)
+    Xtr = standardizer.transform(train.matrix, overwrite_input=overwrite_input)
     # The training rows, numbered: each rebalanced subset's ids are then the
     # rows it kept, in ascending order, and restricting the one sort of the
     # training rows to them gives the subset's own stable sort.
@@ -326,10 +330,7 @@ def train_ensemble(train: LabeledDataset, val: LabeledDataset,
             raise DataError(f"each cohort needs 10 specs, got {len(cohort)}")
         fitted = []
         for spec, base_cfg in cohort:
-            subset = rebalance(numbered, spec)
-            subset_order = (None if base_cfg.family == "logistic"
-                            else learners.restrict_order(order, np.asarray(subset.ids)))
-            model = train_base(base_cfg, subset.matrix, subset.labels, subset_order)
+            model = _fit_rebalanced(base_cfg, rebalance(numbered, spec), order)
             fitted.append(TrainedClassifier(spec=spec, config=base_cfg, model=model))
         cohorts.append(tuple(fitted))
     model = EnsembleModel(
@@ -341,6 +342,19 @@ def train_ensemble(train: LabeledDataset, val: LabeledDataset,
     )
     threshold, grid_scores = optimize_threshold(model, val)
     return replace(model, threshold=threshold, grid_scores=grid_scores)
+
+
+def _fit_rebalanced(config: BaseClassifierConfig, subset: LabeledDataset, order: np.ndarray):
+    """``train_base`` on a rebalanced subset of the numbered training rows,
+    whose one sort is ``order``. A tree learner reads a feature-major copy
+    of the rows; made here, before the subset is dropped, it is the only
+    copy the fit holds."""
+    if config.family == "logistic":
+        return train_base(config, subset.matrix, subset.labels)
+    rows, labels = np.asarray(subset.ids), subset.labels
+    xt = np.ascontiguousarray(subset.matrix.T)
+    del subset
+    return train_base(config, xt.T, labels, learners.restrict_order(order, rows))
 
 
 # ---------------------------------------------------------------------------

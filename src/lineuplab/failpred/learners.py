@@ -99,18 +99,19 @@ def _logistic_objective(z, y, w, coef, inv_c):
     return float(np.dot(w, loss) + 0.5 * inv_c * np.dot(coef, coef))
 
 
-def _newton_system(X, K, s, inv_c):
+def _newton_system(X, K, s, inv_c, Xs):
     """The Newton matrix at curvature weights s: the bordered kernel system
     [diag(s)K + I/C, s; s^T K, sum s] in (alpha, intercept) when K is given,
-    else the primal X~^T S X~ + diag(1/C, ..., 1/C, 0) in (coef, intercept)."""
+    else the primal X~^T S X~ + diag(1/C, ..., 1/C, 0) in (coef, intercept),
+    with S X written to the buffer ``Xs``."""
     m = X.shape[1] if K is None else K.shape[0]
     A = np.empty((m + 1, m + 1))
     if K is None:
-        Xs = X * s[:, None]
+        np.multiply(X, s[:, None], out=Xs)
         A[:m, :m] = X.T @ Xs
         A[:m, m] = A[m, :m] = Xs.sum(axis=0)
     else:
-        A[:m, :m] = s[:, None] * K
+        np.multiply(s[:, None], K, out=A[:m, :m])
         A[:m, m] = s
         A[m, :m] = s @ K
     A[np.diag_indices(m)] += inv_c
@@ -136,6 +137,7 @@ def fit_logistic(X: np.ndarray, y: np.ndarray, w: np.ndarray, C: float = 1.0) ->
         raise DataError("logistic training needs both classes")
     inv_c = 1.0 / C
     K = X @ X.T if n <= d else None
+    Xs = np.empty_like(X) if K is None else None  # reused by every primal step
     alpha = np.zeros(n)
     coef = np.zeros(d)
     intercept = 0.0
@@ -151,7 +153,7 @@ def fit_logistic(X: np.ndarray, y: np.ndarray, w: np.ndarray, C: float = 1.0) ->
             break
         # w * p * (1 - p), written so that it does not round to 0 for |z| > 37
         e = np.exp(-np.abs(z))
-        A = _newton_system(X, K, w * e / (1.0 + e) ** 2, inv_c)
+        A = _newton_system(X, K, w * e / (1.0 + e) ** 2, inv_c, Xs)
         if K is not None:
             step = np.linalg.solve(A, -np.append(err + inv_c * alpha, grad_int))
             d_coef = X.T @ step[:n]

@@ -15,6 +15,7 @@ from lineuplab import corpus as corpus_mod
 from lineuplab.artifacts import FEATURES_FILE, MANIFEST_FILE, RESULTS_FILE, OutputGuard
 from lineuplab.config import PipelineConfig, require_path
 from lineuplab.corpus import ingest_landmarks
+from lineuplab.filters import Workspace
 from lineuplab.imgfeat.features import (
     CLASSICAL_FEATURE_COUNT,
     assemble_feature_vector,
@@ -26,23 +27,32 @@ from lineuplab.stages.ingest import load_corpus
 
 def extract_features(config: PipelineConfig, handle, landmarks, targets) -> np.ndarray:
     """One feature row per target image id, in target order, whatever the
-    parallelism degree: the (len(targets), dim + 42) float64 matrix."""
+    parallelism degree: the (len(targets), dim + 42) float64 matrix.
+
+    Each worker builds its images' planes in one workspace of its own, so
+    once it has seen its largest image it allocates no plane-sized array;
+    what it still allocates per image is small or grows with the image's
+    edge candidates (Canny's hysteresis lists).
+    """
     images_dir = require_path(config, "paths.images")
     matrix = np.empty((len(targets), handle.dim + CLASSICAL_FEATURE_COUNT))
 
-    def fill(i: int) -> None:
-        target = targets[i]
-        img = corpus_mod.load_grayscale_image(corpus_mod.image_path(images_dir, target))
-        matrix[i] = assemble_feature_vector(handle.vector(target), img, landmarks.get(target))
+    def fill(rows: range) -> None:
+        work = Workspace()
+        for i in rows:
+            target = targets[i]
+            img = corpus_mod.load_grayscale_image(corpus_mod.image_path(images_dir, target))
+            matrix[i] = assemble_feature_vector(handle.vector(target), img,
+                                                landmarks.get(target), work)
 
-    if config.parallelism > 1:
+    workers = config.parallelism
+    if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=config.parallelism) as pool:
-            list(pool.map(fill, range(len(targets))))
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(fill, [range(k, len(targets), workers) for k in range(workers)]))
     else:
-        for i in range(len(targets)):
-            fill(i)
+        fill(range(len(targets)))
     return matrix
 
 

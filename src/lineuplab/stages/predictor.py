@@ -55,10 +55,12 @@ def run_train(config: PipelineConfig):
     ids, labels, matrix = stored_features(config)
     train, val, test = stratified_split(dataset_from_arrays(matrix, labels, ids),
                                         seed=config.train_seed)
-    # The three parts are copies; the parsed table is not held through the fit.
+    # The three parts are copies; the parsed table is not held through the
+    # fit, and the training part is standardized in place.
     del ids, labels, matrix
     model = train_ensemble(
-        train, val, EnsembleConfig.default(config.train_seed, config.estimators))
+        train, val, EnsembleConfig.default(config.train_seed, config.estimators),
+        overwrite_input=True)
     if config.threshold_override is not None:
         model = replace(model, threshold=config.threshold_override)
     metrics = evaluate_classifier(model, test)

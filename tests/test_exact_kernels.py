@@ -81,9 +81,11 @@ def test_sector_masks_equal_arctan2_on_every_8bit_sobel_pair():
         angle = np.degrees(np.arctan2(gy, gx)) % 180.0
         want = np.select([(angle < 22.5) | (angle >= 157.5), angle < 67.5, angle < 112.5],
                          [0, 1, 2], 3)
-        masks = np.stack(filters.gradient_sectors(gx, gy))
-        assert (masks.sum(axis=0) == 1).all()
-        assert np.array_equal(masks.argmax(axis=0), want)
+        # float64, and int16 as the feature planes hold them (compared in int32)
+        for dtype in (np.float64, np.int16):
+            masks = np.stack(filters.gradient_sectors(gx.astype(dtype), gy.astype(dtype)))
+            assert (masks.sum(axis=0) == 1).all()
+            assert np.array_equal(masks.argmax(axis=0), want)
 
 
 def _kernel_inputs():
@@ -103,6 +105,10 @@ def test_kernels_equal_the_loop_oracles_exactly(dtype):
         want_gx, want_gy = oracles.sobel(px)
         assert gx.dtype == gy.dtype == np.float64
         assert np.array_equal(gx, want_gx) and np.array_equal(gy, want_gy)
+        if dtype == np.uint8:
+            gx, gy = filters.sobel_gradients(field, dtype=np.int16)
+            assert gx.dtype == gy.dtype == np.int16
+            assert np.array_equal(gx, want_gx) and np.array_equal(gy, want_gy)
         assert np.array_equal(filters.laplacian(field), oracles.conv3(px, oracles.LAPLACIAN))
         assert np.array_equal(filters.box_mean3(field), oracles.conv3(px, oracles.ONES3) / 9.0)
         assert np.array_equal(filters.median3(field), oracles.median3(px))

@@ -882,6 +882,15 @@ def test_train_ensemble_deterministic(trained):
     assert np.array_equal(again.predict_proba(probe), trained.model.predict_proba(probe))
 
 
+def test_train_ensemble_overwrite_input_fits_the_same_model_in_place(trained):
+    train = replace(trained.train, matrix=trained.train.matrix.copy())
+    model = train_ensemble(train, trained.val, config=trained.config, overwrite_input=True)
+    assert np.array_equal(train.matrix, model.standardizer.transform(trained.train.matrix))
+    probe = trained.test.matrix
+    assert model.threshold == trained.model.threshold
+    assert np.array_equal(model.predict_proba(probe), trained.model.predict_proba(probe))
+
+
 def test_train_ensemble_requires_ten_specs(trained):
     bad = EnsembleConfig(seed=0, precision=(), recall=())
     with pytest.raises(DataError, match="10 specs"):
