@@ -97,7 +97,7 @@ def _run(args: argparse.Namespace) -> int:
         for reason, count in sorted(result.counts.items()):
             print(f"  {reason}: {count}")
     elif command == "evaluate":
-        if result is None:
+        if result.accuracy is None:
             print("no eligible sources; empty report written")
         else:
             print(f"lineups: {len(result.results)}  accuracy: {result.accuracy:.4f}  "

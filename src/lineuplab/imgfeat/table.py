@@ -48,6 +48,8 @@ def _read_header(path: Path, fh) -> list[str]:
         header = None
     if not header or header[:2] != ["image_id", "label"]:
         raise DataError(f"{path}: missing or malformed feature header")
+    if len(header) == 2:
+        raise DataError(f"{path}: feature header names no feature column")
     return header
 
 

@@ -15,7 +15,6 @@ import csv
 import hashlib
 import importlib
 import json
-from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -55,15 +54,6 @@ def __getattr__(name):
     return getattr(importlib.import_module("lineuplab.report"), name)
 
 
-class NoEligibleSources(DataError):
-    """No source in the requested set could form a lineup. ``skipped`` holds
-    each source's reason, as ``AccuracyReport.skipped`` does."""
-
-    def __init__(self, skipped: tuple[tuple[ImageId, str], ...]):
-        super().__init__("no source was eligible for a lineup")
-        self.skipped = skipped
-
-
 @dataclass(frozen=True)
 class Lineup:
     source: ImageId
@@ -100,7 +90,7 @@ class LineupResult:
 
 @dataclass(frozen=True)
 class AccuracyReport:
-    accuracy: float
+    accuracy: float | None  # None when no source could form a lineup
     results: tuple[LineupResult, ...]
     skipped: tuple[tuple[ImageId, str], ...]
 
@@ -263,7 +253,8 @@ def rank_probe(lineup: Lineup, embeddings: CorpusHandle) -> LineupResult:
 
 def evaluate_corpus(corpus: CorpusHandle, index: SearchIndex, sources, seed: int,
                     distinct_filler_identities: bool = False) -> AccuracyReport:
-    """Build and score a lineup per source; accuracy is the success fraction.
+    """Build and score a lineup per source; accuracy is the success fraction,
+    None when no source could form a lineup.
 
     Sources that cannot form a lineup (no probe candidate, too few fillers)
     are skipped and reported, not fatal. Results are ordered by source id.
@@ -275,13 +266,11 @@ def evaluate_corpus(corpus: CorpusHandle, index: SearchIndex, sources, seed: int
     lineups = [lu for lu in built if isinstance(lu, Lineup)]
     skipped = tuple((source, str(lu)) for source, lu in zip(ordered, built)
                     if isinstance(lu, DataError))
-    if not lineups:
-        raise NoEligibleSources(skipped)
     results = tuple(
         LineupResult(lineup=lu, probe_rank=rank, success=rank == 0)
         for lu, rank in zip(lineups, _probe_ranks(lineups, corpus, corpus))
     )
-    accuracy = sum(r.success for r in results) / len(results)
+    accuracy = sum(r.success for r in results) / len(results) if results else None
     return AccuracyReport(accuracy=accuracy, results=results, skipped=skipped)
 
 
@@ -344,10 +333,12 @@ _MANIFEST_FIELDS = {
 
 
 def read_lineup_manifest(path) -> list[Lineup]:
+    """The manifest's lineups, in file order; their sources are distinct."""
     path = Path(path)
     if not path.is_file():
         raise DataError(f"lineup manifest not found: {path}")
     out: list[Lineup] = []
+    sources: set[ImageId] = set()
     for where, obj in json_objects(path):
         try:
             for name, (ok, description) in _MANIFEST_FIELDS.items():
@@ -361,28 +352,19 @@ def read_lineup_manifest(path) -> list[Lineup]:
             ))
         except (KeyError, DataError) as exc:
             raise DataError(f"{where}: malformed lineup entry ({exc})") from None
+        if out[-1].source in sources:
+            raise DataError(f"{where}: lineup source {out[-1].source!r} appears more than once")
+        sources.add(out[-1].source)
     return out
 
 
-def stored_lineups(config: PipelineConfig) -> list[LineupResult]:
-    """The before-results written by ``evaluate``, over the lineups of its
-    manifest: the manifest's sources are distinct, and the results hold one
-    row per manifest lineup, in manifest order, so ``[r.lineup for r in
-    results]`` is the manifest."""
+def stored_lineups(config: PipelineConfig) -> tuple[LineupResult, ...]:
+    """The results ``evaluate`` wrote, over the lineups of its manifest."""
     manifest_path = config.out(MANIFEST_FILE)
     results_path = config.out(RESULTS_FILE)
     if not manifest_path.is_file() or not results_path.is_file():
         raise ConfigError("lineup manifest/results not found (run 'evaluate' first)")
-    lineups = read_lineup_manifest(manifest_path)
-    sources = [lu.source for lu in lineups]
-    repeated = [source for source, n in Counter(sources).items() if n > 1]
-    if repeated:
-        raise DataError(f"{manifest_path}: lineup source {repeated[0]!r} appears more than once")
-    results = read_results_csv(results_path, dict(zip(sources, lineups)))
-    if [r.lineup.source for r in results] != sources:
-        raise DataError(f"{results_path}: results do not hold one row per lineup of "
-                        f"{manifest_path}, in manifest order (rerun 'evaluate')")
-    return results
+    return read_results_csv(results_path, read_lineup_manifest(manifest_path))
 
 
 def write_results_csv(results, path) -> Path:
@@ -395,7 +377,9 @@ def write_results_csv(results, path) -> Path:
     return path
 
 
-def read_results_csv(path, lineups_by_source: dict[ImageId, Lineup]) -> list[LineupResult]:
+def read_results_csv(path, lineups) -> tuple[LineupResult, ...]:
+    """The results of ``lineups``: one row per lineup, row k holding the
+    result of ``lineups[k]``. A faulty row raises naming ``file:line``."""
     path = Path(path)
     if not path.is_file():
         raise DataError(f"results file not found: {path}")
@@ -406,20 +390,27 @@ def read_results_csv(path, lineups_by_source: dict[ImageId, Lineup]) -> list[Lin
         if header != ["source_id", "probe_rank", "success"]:
             raise DataError(f"{path}: unexpected results header {header}")
         for row in reader:
+            where = f"{path}:{reader.line_num}"
             if len(row) != 3:
-                raise DataError(f"{path}: malformed row {row}")
+                raise DataError(f"{where}: malformed row {row}")
             source, rank, success = row
-            if source not in lineups_by_source:
-                raise DataError(f"{path}: result for unknown lineup {source!r}")
+            if len(out) == len(lineups):
+                raise DataError(f"{where}: result for unknown lineup {source!r}: the results "
+                                f"hold one row per lineup, and there are {len(lineups)}")
+            lineup = lineups[len(out)]
+            if source != lineup.source:
+                raise DataError(f"{where}: result for {source!r} where lineup "
+                                f"{lineup.source!r} is due: the results hold one row per "
+                                f"lineup, in manifest order")
             try:
-                probe_rank = int(rank)
+                # a flag other than true/false reads None, which fails the mirror check
+                out.append(LineupResult(lineup=lineup, probe_rank=int(rank),
+                                        success={"true": True, "false": False}.get(success)))
             except ValueError:
-                raise DataError(
-                    f"{path}:{reader.line_num}: probe_rank {rank!r} is not an integer"
-                ) from None
-            out.append(LineupResult(
-                lineup=lineups_by_source[source],
-                probe_rank=probe_rank,
-                success=success == "true",
-            ))
-    return out
+                raise DataError(f"{where}: probe_rank {rank!r} is not an integer") from None
+            except DataError as exc:
+                raise DataError(f"{where}: {exc}") from None
+    if len(out) != len(lineups):
+        raise DataError(f"{path}: {len(out)} rows for {len(lineups)} lineups: the results "
+                        f"hold one row per lineup")
+    return tuple(out)

@@ -79,42 +79,34 @@ def change_histogram(records) -> dict[int, tuple[int, float]]:
 
 
 def summarize_outcomes(report: RankChangeReport, results_before) -> OutcomeTable:
-    """Roll a rank-change report up into the improvement/degradation table.
+    """Roll the lineups of ``results_before`` up into the improvement/
+    degradation table, from their records in ``report``.
 
-    ``results_before`` anchors the accounting: every before-result must end
-    up compared or failed, so the table partitions the total exactly.
+    Every lineup of ``results_before`` must be compared or failed in
+    ``report``, so the table partitions the total exactly.
     """
-    changes = [rec.change for rec in report.per_lineup]
-    improvements = sum(1 for c in changes if c > 0)
-    degradations = sum(1 for c in changes if c < 0)
-    unchanged = sum(1 for c in changes if c == 0)
-    conversions = sum(
-        1 for rec in report.per_lineup if rec.rank_before > 0 and rec.rank_after == 0
-    )
-    failed = len(report.failed)
-    total = len(report.per_lineup) + failed
+    sources = {r.lineup.source for r in results_before}
+    records = [rec for rec in report.per_lineup if rec.lineup_id in sources]
+    pos = [rec.change for rec in records if rec.change > 0]
+    neg = [-rec.change for rec in records if rec.change < 0]
+    counts = {
+        "improvements": len(pos),
+        "degradations": len(neg),
+        "unchanged": len(records) - len(pos) - len(neg),
+        "success_conversions": sum(1 for rec in records
+                                   if rec.rank_before > 0 and rec.rank_after == 0),
+        "failed_restorations": sum(1 for source in report.failed if source in sources),
+    }
+    total = len(records) + counts["failed_restorations"]
     if len(results_before) != total:
         raise DataError(
             f"outcome accounting mismatch: {len(results_before)} before-results, "
             f"{total} compared+failed"
         )
-    pos = [c for c in changes if c > 0]
-    neg = [-c for c in changes if c < 0]
-    pct = lambda n: 100.0 * n / total if total else 0.0
     return OutcomeTable(
-        improvements=improvements,
-        degradations=degradations,
-        unchanged=unchanged,
-        success_conversions=conversions,
-        failed_restorations=failed,
+        **counts,
         total=total,
-        percentages={
-            "improvements": pct(improvements),
-            "degradations": pct(degradations),
-            "unchanged": pct(unchanged),
-            "success_conversions": pct(conversions),
-            "failed_restorations": pct(failed),
-        },
+        percentages={k: 100.0 * n / total if total else 0.0 for k, n in counts.items()},
         mean_improvement=sum(pos) / len(pos) if pos else 0.0,
         mean_degradation=sum(neg) / len(neg) if neg else 0.0,
     )

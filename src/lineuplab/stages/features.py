@@ -21,7 +21,7 @@ from lineuplab.imgfeat.features import (
     assemble_feature_vector,
     write_feature_csv,
 )
-from lineuplab.lineup import read_lineup_manifest, stored_lineups
+from lineuplab.lineup import stored_lineups
 from lineuplab.stages.ingest import load_corpus
 
 
@@ -29,10 +29,11 @@ def extract_features(config: PipelineConfig, handle, landmarks, targets) -> np.n
     """One feature row per target image id, in target order, whatever the
     parallelism degree: the (len(targets), dim + 42) float64 matrix.
 
-    Each worker builds its images' planes in one workspace of its own, so
-    once it has seen its largest image it allocates no plane-sized array;
-    what it still allocates per image is small or grows with the image's
-    edge candidates (Canny's hysteresis lists).
+    It runs no more workers than there are targets. Each worker builds its
+    images' planes in one workspace of its own, so once it has seen its
+    largest image it allocates no plane-sized array; what it still
+    allocates per image is small or grows with the image's edge candidates
+    (Canny's hysteresis lists).
     """
     images_dir = require_path(config, "paths.images")
     matrix = np.empty((len(targets), handle.dim + CLASSICAL_FEATURE_COUNT))
@@ -45,7 +46,7 @@ def extract_features(config: PipelineConfig, handle, landmarks, targets) -> np.n
             matrix[i] = assemble_feature_vector(handle.vector(target), img,
                                                 landmarks.get(target), work)
 
-    workers = config.parallelism
+    workers = min(config.parallelism, len(targets))
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
 
@@ -57,35 +58,32 @@ def extract_features(config: PipelineConfig, handle, landmarks, targets) -> np.n
 
 
 def run_features(config: PipelineConfig) -> Path:
-    """Feature CSV for lineups (when a manifest exists) or all corpus images.
+    """Feature CSV for the stored lineups, or for all corpus images when
+    neither the lineup manifest nor the results are stored.
 
-    With a manifest, each row is keyed by the lineup's source id and built
-    from the configured target image (source by default, probe optionally);
-    labels come from the results CSV when present (1 = lineup failure).
+    With the stored lineups, each row is keyed by the lineup's source id and
+    built from the configured target image (source by default, probe
+    optionally), and labelled 1 when the lineup failed.
     """
     handle = load_corpus(config)
     landmarks = ingest_landmarks(require_path(config, "paths.landmarks"))
-    lineups = results = None
-    if config.out(RESULTS_FILE).is_file() and config.out(MANIFEST_FILE).is_file():
-        results = stored_lineups(config)
-        lineups = [r.lineup for r in results]
-    elif config.out(MANIFEST_FILE).is_file():
-        lineups = read_lineup_manifest(config.out(MANIFEST_FILE))
-    write_features(config, handle, landmarks, lineups, results)
+    stored = config.out(MANIFEST_FILE).is_file() or config.out(RESULTS_FILE).is_file()
+    write_features(config, handle, landmarks, stored_lineups(config) if stored else None)
     return config.out(FEATURES_FILE)
 
 
-def write_features(config: PipelineConfig, handle, landmarks, lineups, results):
-    """Commit the feature CSV of ``lineups`` (every corpus image when None),
-    labelled by ``results``; return the ``(ids, labels, matrix)`` triple
-    that ``read_feature_csv`` would parse back from it, bit for bit."""
-    if lineups is None:
+def write_features(config: PipelineConfig, handle, landmarks, results):
+    """Commit the feature CSV of the lineups of ``results``, labelled by
+    their failures (every corpus image, labelled 0, when None); return the
+    ``(ids, labels, matrix)`` triple that ``read_feature_csv`` would parse
+    back from it, bit for bit."""
+    if results is None:
         ids = targets = sorted(handle.ids)
+        labels = np.zeros(len(ids), dtype=np.int64)
     else:
-        ids = [lu.source for lu in lineups]
-        targets = ids if config.target == "source" else [lu.probe for lu in lineups]
-    failed = {r.lineup.source for r in results or () if not r.success}
-    labels = np.array([int(i in failed) for i in ids], dtype=np.int64)
+        ids = [r.lineup.source for r in results]
+        targets = ids if config.target == "source" else [r.lineup.probe for r in results]
+        labels = np.array([int(not r.success) for r in results], dtype=np.int64)
     matrix = extract_features(config, handle, landmarks, targets)
     with OutputGuard() as guard:
         write_feature_csv(ids, labels, matrix, guard.track(config.out(FEATURES_FILE)))

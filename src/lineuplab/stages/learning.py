@@ -124,11 +124,9 @@ def run_predict_and_restore(config: PipelineConfig) -> ComparisonBundle:
     if config.out(MANIFEST_FILE).is_file() and config.out(RESULTS_FILE).is_file():
         results = stored_lineups(config)
     else:
-        report = evaluate(config, original)
-        results = report.results if report else ()
+        results = evaluate(config, original).results
     if extract:
-        features = write_features(config, original, landmarks, [r.lineup for r in results],
-                                  results)
+        features = write_features(config, original, landmarks, results)
     else:
         features = stored_features(config)
         if (features[0] != [r.lineup.source for r in results]

@@ -21,20 +21,12 @@ from lineuplab.artifacts import (
 from lineuplab.config import PipelineConfig
 from lineuplab.lineup import (
     AccuracyReport,
-    NoEligibleSources,
     compare_variants,
     stored_lineups,
     write_lineup_manifest,
     write_results_csv,
 )
-from lineuplab.report import (
-    ComparisonBundle,
-    OutcomeTable,
-    RankChangeReport,
-    change_histogram,
-    summarize_outcomes,
-    write_comparison,
-)
+from lineuplab.report import ComparisonBundle, summarize_outcomes, write_comparison
 from lineuplab.stages.ingest import load_corpus, original_and_restored
 
 
@@ -46,31 +38,28 @@ def run_index(config: PipelineConfig) -> Path:
     return path
 
 
-def run_evaluate(config: PipelineConfig) -> AccuracyReport | None:
+def run_evaluate(config: PipelineConfig) -> AccuracyReport:
     return evaluate(config, load_corpus(config))
 
 
-def evaluate(config: PipelineConfig, handle) -> AccuracyReport | None:
+def evaluate(config: PipelineConfig, handle) -> AccuracyReport:
     """Lineups, per-lineup results, and an accuracy summary for ``handle``.
 
-    Returns None when no source is eligible; the (empty) artifacts are still
-    written and the summary states that explicitly, with each source's skip
-    reason, rather than failing.
+    When no source is eligible the (empty) artifacts are still written, and
+    the summary states that explicitly, with each source's skip reason,
+    rather than failing.
     """
     index = simindex.build_index(handle)
-    try:
-        report = lineup_mod.evaluate_corpus(
-            handle, index, handle.ids, config.lineup_seed,
-            distinct_filler_identities=config.distinct_fillers,
-        )
-    except NoEligibleSources as exc:
-        report, results, skipped = None, [], exc.skipped
-        summary = {"accuracy": None, "message": "no eligible sources"}
-    else:
-        results, skipped = report.results, report.skipped
-        summary = {"accuracy": report.accuracy}
-    summary.update(skipped=[[sid, reason] for sid, reason in skipped], lineups=len(results),
-                   successes=sum(r.success for r in results), sources_total=handle.count)
+    report = lineup_mod.evaluate_corpus(
+        handle, index, handle.ids, config.lineup_seed,
+        distinct_filler_identities=config.distinct_fillers,
+    )
+    results = report.results
+    summary = {"accuracy": report.accuracy, "lineups": len(results),
+               "skipped": [[sid, reason] for sid, reason in report.skipped],
+               "successes": sum(r.success for r in results), "sources_total": handle.count}
+    if report.accuracy is None:
+        summary["message"] = "no eligible sources"
     with OutputGuard() as guard:
         write_lineup_manifest([r.lineup for r in results], guard.track(config.out(MANIFEST_FILE)))
         write_results_csv(results, guard.track(config.out(RESULTS_FILE)))
@@ -83,18 +72,13 @@ def compare_with_restored(results, original, restored) -> ComparisonBundle:
 
     A lineup with a member absent from ``restored`` is a failed
     restoration. The source embedding is always taken from the original
-    corpus. Each table covers one sign of the before-rank.
+    corpus. The tables summarize the one re-ranking over the before-failures
+    and the before-successes.
     """
     report = compare_variants(results, original, restored)
-    before_rank = {r.lineup.source: r.probe_rank for r in results}
-
-    def table(positive: bool) -> OutcomeTable:
-        recs = tuple(r for r in report.per_lineup if (r.rank_before > 0) == positive)
-        failed = tuple(s for s in report.failed if (before_rank[s] > 0) == positive)
-        before = [r for r in results if (r.probe_rank > 0) == positive]
-        return summarize_outcomes(RankChangeReport(recs, change_histogram(recs), failed), before)
-
-    return ComparisonBundle(report, table(True), table(False))
+    return ComparisonBundle(report, *(
+        summarize_outcomes(report, [r for r in results if r.success == success])
+        for success in (False, True)))
 
 
 def run_compare(config: PipelineConfig) -> ComparisonBundle:

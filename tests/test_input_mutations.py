@@ -5,7 +5,7 @@ binary ``embeddings.bin``, landmarks, images, the lineups and results
 ``evaluate`` wrote, the ``features.csv`` ``features`` wrote, a config file)
 and a model ``train`` made from synthetic feature rows are damaged in seeded
 ways: truncation, byte flips, a ragged row, a ``nan`` cell, a bad label, a
-wrong width, JSON values of the wrong type (a whole JSONL line or one value
+wrong width, no feature column at all, JSON values of the wrong type (a whole JSONL line or one value
 in it) and a binary header field replaced. Each damaged file goes to the
 commands that read it: ``features.csv`` to ``train`` and ``predict``,
 ``model.json`` to ``predict``, the landmarks to ``features`` and a
@@ -138,6 +138,8 @@ def _csv_mutant(data: bytes, kind: str, rng) -> bytes:
     lines = data.decode().splitlines(keepends=True)
     if kind == "wrong_width":  # every line, the header included, one column short
         return "".join(line.rsplit(",", 1)[0] + "\n" for line in lines).encode()
+    if kind == "no_features":  # every line cut to its id and label
+        return "".join(",".join(line.split(",", 2)[:2]) + "\n" for line in lines).encode()
     row = int(rng.integers(1, len(lines)))
     cells = lines[row].rstrip("\n").split(",")
     if kind == "ragged_row":
@@ -173,9 +175,10 @@ CASES = (
     [("train", FEATURES_FILE, kind) for kind in CSV_KINDS]
     + [("predict", FEATURES_FILE, kind) for kind in CSV_KINDS]
     + [("predict", MODEL_FILE, kind) for kind in JSON_KINDS]
+    + [(command, FEATURES_FILE, "no_features") for command in ("train", "predict")]
 )
 # every mutant of these kinds is malformed, whatever the seed draws
-ALWAYS_FAILS = {"ragged_row", "nan_cell", "bad_label", "wrong_top_level"}
+ALWAYS_FAILS = {"ragged_row", "nan_cell", "bad_label", "wrong_top_level", "no_features"}
 
 
 @pytest.mark.parametrize("command, name, kind", CASES,

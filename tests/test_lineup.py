@@ -12,7 +12,6 @@ from lineuplab.lineup import (
     CHANGE_RANGE,
     Lineup,
     LineupResult,
-    NoEligibleSources,
     RankChangeRecord,
     RankChangeReport,
     build_lineup,
@@ -253,8 +252,11 @@ def test_evaluate_corpus_skips_and_reports(tmp_path, rng):
 def test_evaluate_corpus_no_eligible_sources(tmp_path, rng):
     handle = make_corpus(tmp_path, rng, n_identities=6, per_identity=1, dim=8)
     index = build_index(handle)
-    with pytest.raises(NoEligibleSources):
-        evaluate_corpus(handle, index, handle.ids, seed=0)
+    report = evaluate_corpus(handle, index, handle.ids, seed=0)
+    assert report.accuracy is None
+    assert report.results == ()
+    assert [sid for sid, _ in report.skipped] == sorted(handle.ids)
+    assert all("no other image" in reason for _, reason in report.skipped)
 
 
 # ---------------------------------------------------------------------------
@@ -366,6 +368,19 @@ def test_summarize_outcomes_accounting():
     assert table.mean_degradation == pytest.approx(3.0)
 
 
+def test_summarize_outcomes_over_a_subset():
+    records = (RankChangeRecord("a", 2, 0), RankChangeRecord("b", 0, 1),
+               RankChangeRecord("c", 3, 1), RankChangeRecord("d", 1, 4))
+    report = RankChangeReport(records, change_histogram(records), failed=("e", "f"))
+    subset = [_result_with_rank(s, r) for s, r in [("a", 2), ("c", 3), ("f", 4)]]
+    kept = (records[0], records[2])
+    alone = RankChangeReport(kept, change_histogram(kept), failed=("f",))
+    table = summarize_outcomes(report, subset)
+    assert table == summarize_outcomes(alone, subset)
+    assert (table.improvements, table.degradations, table.success_conversions,
+            table.failed_restorations, table.total) == (2, 0, 1, 1, 3)
+
+
 def test_summarize_outcomes_detects_mismatch():
     records = (RankChangeRecord("a", 2, 0),)
     report = RankChangeReport(records, change_histogram(records), failed=())
@@ -391,8 +406,8 @@ def test_results_round_trip(tmp_path, rng):
     index = build_index(handle)
     report = evaluate_corpus(handle, index, handle.ids, seed=7)
     path = write_results_csv(report.results, tmp_path / "results.csv")
-    by_source = {r.lineup.source: r.lineup for r in report.results}
-    assert tuple(read_results_csv(path, by_source)) == report.results
+    lineups = [r.lineup for r in report.results]
+    assert tuple(read_results_csv(path, lineups)) == report.results
 
 
 def test_rank_change_csv_layout(tmp_path):
@@ -412,7 +427,7 @@ def test_read_results_rejects_unknown_lineup(tmp_path):
     path = tmp_path / "r.csv"
     path.write_text("source_id,probe_rank,success\nghost,0,true\n")
     with pytest.raises(DataError, match="unknown lineup"):
-        read_results_csv(path, {})
+        read_results_csv(path, [])
 
 
 def test_read_manifest_and_results_reject_non_integer_fields(tmp_path):
@@ -424,6 +439,6 @@ def test_read_manifest_and_results_reject_non_integer_fields(tmp_path):
         read_lineup_manifest(manifest)
     results = tmp_path / "r.csv"
     results.write_text("source_id,probe_rank,success\ns,0,true\ns,x,false\n")
-    by_source = {"s": Lineup("s", ("f1", "f2", "f3", "f4", "f5"), "p", 1)}
+    lineups = [Lineup("s", ("f1", "f2", "f3", "f4", "f5"), "p", 1)] * 2
     with pytest.raises(DataError, match=r"r\.csv:3: probe_rank 'x'"):
-        read_results_csv(results, by_source)
+        read_results_csv(results, lineups)

@@ -32,7 +32,13 @@ from lineuplab.corpus import (
 from lineuplab.errors import ConfigError, DataError
 from lineuplab.failpred.model_io import load_model
 from lineuplab.imgfeat import read_feature_csv, write_feature_csv
-from lineuplab.lineup import OutcomeTable, read_lineup_manifest, read_results_csv
+from lineuplab.lineup import (
+    Lineup,
+    LineupResult,
+    OutcomeTable,
+    read_lineup_manifest,
+    read_results_csv,
+)
 from lineuplab.pipeline import (
     COMPARISON_FILE,
     CONFIG_LEAVES,
@@ -54,6 +60,8 @@ from lineuplab.pipeline import (
     load_config,
     write_outcome_csv,
 )
+from lineuplab.filters import Workspace
+from lineuplab.stages import features as feature_stages
 from lineuplab.stages import predictor as predictor_stages
 from lineuplab.stages import search as search_stages
 
@@ -492,6 +500,36 @@ def test_features_parallel_matches_serial(workspace):
     assert np.array_equal(serial, threaded)
 
 
+def test_features_run_no_more_workers_than_targets(workspace, monkeypatch):
+    config = load_config(workspace.config)
+    handle = ingest_embeddings(workspace.original)
+    landmarks = ingest_landmarks(workspace.root / "landmarks.jsonl")
+    targets = sorted(handle.ids)[:3]
+    serial = pipeline.extract_features(config, handle, landmarks, targets)
+    built = []
+
+    class CountedWorkspace(Workspace):
+        def __init__(self):
+            super().__init__()
+            built.append(self)
+
+    monkeypatch.setattr(feature_stages, "Workspace", CountedWorkspace)
+    wide = pipeline.extract_features(replace(config, parallelism=16), handle, landmarks, targets)
+    assert 1 <= len(built) <= 3
+    assert np.array_equal(serial, wide)
+
+
+@pytest.mark.parametrize("stored", [MANIFEST_FILE, RESULTS_FILE])
+def test_features_needs_both_stored_files_or_neither(chain, tmp_path, capsys, stored):
+    out = tmp_path / "out"
+    out.mkdir()
+    shutil.copy(chain.out / stored, out / stored)
+    code = cli.main(["features", "--config", str(chain.ws.config), "--paths.output", str(out)])
+    assert code == 1
+    assert "run 'evaluate' first" in capsys.readouterr().err
+    assert [p.name for p in out.iterdir()] == [stored]
+
+
 def test_features_probe_target_mode(workspace, chain, tmp_path):
     probe_out = tmp_path / "probe_out"
     probe_out.mkdir()
@@ -621,6 +659,31 @@ def test_compare_covers_every_lineup(chain):
 def test_report_rerenders_byte_identical(chain):
     for name in (OUTCOMES_TP_FILE, OUTCOMES_FP_FILE, RANK_CHANGES_FILE):
         assert chain.rerendered[name] == chain.compare_all[name]
+
+
+# sha256 of the chain's artifacts that do not depend on the trained model's
+# probabilities: a refactor of the lineup, search or report code must leave
+# every one of these files byte-identical.
+GOLDEN_COMPARE_ALL = {
+    COMPARISON_FILE: "f37a94548d973f423f2d5dbc57c542aa0240a22f2971adb80e50c3cdd2966da9",
+    OUTCOMES_TP_FILE: "7f0c2321f67d54b17c66dfe53ebfd2a5a96e12c5fa7bf6553ceedc71fc129c1a",
+    OUTCOMES_FP_FILE: "8b56c3eafbeedb6c9b51c97ee46db1f18ece9ff0eecd5dca8237bd199afa77cb",
+    RANK_CHANGES_FILE: "446750af57f1c74da271885693c3c7525cf7e5105d02f6ce54a5772f465d377e",
+}
+GOLDEN_OUT = {
+    MANIFEST_FILE: "256520c2b34868647dd5997306d5a2f3853d39f9787ca8245b835b4626b21110",
+    RESULTS_FILE: "c494352d2a9711e9a01a082c7dfdef834ee968a78201a794efa81c2d517be6c1",
+    SUMMARY_FILE: "3eef6ac7eb1de37f722fd2a13dd0a0ed0c5982823038445ce0525272d1dfd936",
+    FEATURES_FILE: "7add2d45cf629b7f40388a1d2e84683ca53104ebc3db6dc0bef19db381c1b634",
+}
+
+
+def test_chain_artifacts_match_their_golden_digests(chain):
+    def digests(files):
+        return {name: hashlib.sha256(data).hexdigest() for name, data in files.items()}
+
+    assert digests(chain.compare_all) == GOLDEN_COMPARE_ALL
+    assert digests({name: (chain.out / name).read_bytes() for name in GOLDEN_OUT}) == GOLDEN_OUT
 
 
 def test_failing_hook_counts_failed_restorations(chain):
@@ -1142,7 +1205,9 @@ def _stored_comparison() -> dict:
     records = (report.RankChangeRecord("a", 2, 0), report.RankChangeRecord("b", 0, 1),
                report.RankChangeRecord("c", 1, 1))
     changes = report.RankChangeReport(records, report.change_histogram(records), ("d",))
-    table = report.summarize_outcomes(changes, [None] * 4)
+    before = [LineupResult(Lineup(s, tuple(f"{s}f{i}" for i in range(5)), f"{s}p", 0), r, r == 0)
+              for s, r in (("a", 2), ("b", 0), ("c", 1), ("d", 3))]
+    table = report.summarize_outcomes(changes, before)
     return report.comparison_payload(report.ComparisonBundle(changes, table, table))
 
 
@@ -1439,4 +1504,21 @@ def test_compare_rejects_results_that_do_not_match_the_manifest(chain, tmp_path,
     assert code == 2
     message = "appears more than once" if fault == "repeated_lineup" else "one row per lineup"
     assert message in capsys.readouterr().err
+    assert not (out / COMPARISON_FILE).exists()
+
+
+@pytest.mark.parametrize("row, fault", [("7,false", "probe rank 7 out of range"),
+                                        ("0,false", "success flag must mirror"),
+                                        ("3,no", "success flag must mirror")],
+                         ids=["rank_7", "rank_0_false", "rank_3_no"])
+def test_compare_names_the_line_of_a_faulty_result(chain, tmp_path, capsys, row, fault):
+    out = tmp_path / "out"
+    out.mkdir()
+    shutil.copy(chain.out / MANIFEST_FILE, out / MANIFEST_FILE)
+    results = (chain.out / RESULTS_FILE).read_text().splitlines(keepends=True)
+    results[3] = f"{results[3].split(',')[0]},{row}\n"
+    (out / RESULTS_FILE).write_text("".join(results))
+    code = cli.main(["compare", "--config", str(chain.ws.config), "--paths.output", str(out)])
+    assert code == 2
+    assert f"{RESULTS_FILE}:4: {fault}" in capsys.readouterr().err
     assert not (out / COMPARISON_FILE).exists()
