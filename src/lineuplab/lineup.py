@@ -67,8 +67,8 @@ class Lineup:
         members = set(self.fillers) | {self.probe}
         if len(members) != LINEUP_SIZE:
             raise DataError("lineup members must be pairwise distinct")
-        if self.probe == self.source:
-            raise DataError("probe must differ from the source image")
+        if self.source in members:
+            raise DataError("lineup members must differ from the source image")
 
     @property
     def members(self) -> tuple[ImageId, ...]:
@@ -90,9 +90,12 @@ class LineupResult:
 
 @dataclass(frozen=True)
 class AccuracyReport:
-    accuracy: float | None  # None when no source could form a lineup
     results: tuple[LineupResult, ...]
     skipped: tuple[tuple[ImageId, str], ...]
+
+    @property
+    def accuracy(self) -> float | None:  # None when no source could form a lineup
+        return sum(r.success for r in self.results) / len(self.results) if self.results else None
 
 
 def draw_probe(candidates, seed: int, source: ImageId) -> ImageId:
@@ -208,41 +211,45 @@ def _first_fillers(hits, distinct: bool) -> list[ImageId]:
     return chosen
 
 
-def _rows(corpus: CorpusHandle, ids) -> np.ndarray:
-    for image_id in ids:
-        if image_id not in corpus:
-            raise DataError(f"embedding missing for image {image_id!r}")
-    return np.fromiter((corpus.row(i) for i in ids), dtype=np.intp, count=len(ids))
-
-
-def _probe_ranks(lineups, source_corpus: CorpusHandle, member_corpus: CorpusHandle) -> list[int]:
-    """Probe rank of each lineup: its members sorted by descending cosine
-    similarity to the source, ties to the smaller image id.
+def _lineup_scores(lineups, source_corpus: CorpusHandle,
+                   member_corpus: CorpusHandle) -> np.ndarray:
+    """The (n, 6) float64 cosine scores of each lineup's members against its
+    source, fillers first and the probe last.
 
     Sources come from ``source_corpus``, members from ``member_corpus``.
     Lineups are scored in blocks of at most ``simindex.BLOCK_VALUES``
-    gathered member values. Raises naming any id whose embedding is absent.
+    gathered member values, one ``simindex.score_kernel`` call per block.
+    Raises naming any id whose embedding is absent.
     """
     from lineuplab import simindex
 
+    def gather(corpus: CorpusHandle, ids) -> np.ndarray:
+        return simindex.l2_normalize(corpus.matrix[[corpus.row(i) for i in ids]], ids)
+
+    scores = np.empty((len(lineups), LINEUP_SIZE))
     step = max(1, simindex.BLOCK_VALUES // (LINEUP_SIZE * member_corpus.dim))
-    return [rank for start in range(0, len(lineups), step)
-            for rank in _rank_block(lineups[start:start + step], source_corpus, member_corpus)]
+    for start in range(0, len(lineups), step):
+        block = lineups[start:start + step]
+        members = [m for lu in block for m in lu.members]
+        scores[start:start + len(block)] = simindex.score_kernel(  # no gather outlives its block
+            gather(source_corpus, [lu.source for lu in block]),
+            gather(member_corpus, members).reshape(len(block), LINEUP_SIZE, -1))
+    return scores
 
 
-def _rank_block(block, source_corpus: CorpusHandle, member_corpus: CorpusHandle) -> list[int]:
-    from lineuplab import simindex
-
-    sources = [lu.source for lu in block]
-    members = [m for lu in block for m in lu.members]
-    src = simindex.l2_normalize(source_corpus.matrix[_rows(source_corpus, sources)], sources)
-    mem = simindex.l2_normalize(member_corpus.matrix[_rows(member_corpus, members)], members)
-    scores = simindex.score_kernel(src, mem.reshape(len(block), LINEUP_SIZE, -1))
-    fillers, probe = scores[:, :FILLER_COUNT], scores[:, FILLER_COUNT:]
+def ranks_from_scores(scores: np.ndarray, lineups) -> list[int]:
+    """Probe rank of each lineup from its row of ``scores``: its members
+    sorted by descending score, ties to the smaller image id."""
     # The probe is the last member; the fillers that sort before it set its rank.
-    smaller_id = np.array([[f < lu.probe for f in lu.fillers] for lu in block])
-    before = (fillers > probe) | ((fillers == probe) & smaller_id)
+    fillers, probe = scores[:, :FILLER_COUNT], scores[:, FILLER_COUNT:]
+    before = fillers > probe
+    for row, col in zip(*np.nonzero(fillers == probe)):  # a tie goes to the smaller id
+        before[row, col] = lineups[row].fillers[col] < lineups[row].probe
     return before.sum(axis=1).tolist()
+
+
+def _probe_ranks(lineups, source_corpus: CorpusHandle, member_corpus: CorpusHandle) -> list[int]:
+    return ranks_from_scores(_lineup_scores(lineups, source_corpus, member_corpus), lineups)
 
 
 def rank_probe(lineup: Lineup, embeddings: CorpusHandle) -> LineupResult:
@@ -253,8 +260,7 @@ def rank_probe(lineup: Lineup, embeddings: CorpusHandle) -> LineupResult:
 
 def evaluate_corpus(corpus: CorpusHandle, index: SearchIndex, sources, seed: int,
                     distinct_filler_identities: bool = False) -> AccuracyReport:
-    """Build and score a lineup per source; accuracy is the success fraction,
-    None when no source could form a lineup.
+    """Build and score a lineup per source.
 
     Sources that cannot form a lineup (no probe candidate, too few fillers)
     are skipped and reported, not fatal. Results are ordered by source id.
@@ -266,12 +272,9 @@ def evaluate_corpus(corpus: CorpusHandle, index: SearchIndex, sources, seed: int
     lineups = [lu for lu in built if isinstance(lu, Lineup)]
     skipped = tuple((source, str(lu)) for source, lu in zip(ordered, built)
                     if isinstance(lu, DataError))
-    results = tuple(
-        LineupResult(lineup=lu, probe_rank=rank, success=rank == 0)
-        for lu, rank in zip(lineups, _probe_ranks(lineups, corpus, corpus))
-    )
-    accuracy = sum(r.success for r in results) / len(results) if results else None
-    return AccuracyReport(accuracy=accuracy, results=results, skipped=skipped)
+    results = tuple(LineupResult(lineup=lu, probe_rank=rank, success=rank == 0)
+                    for lu, rank in zip(lineups, _probe_ranks(lineups, corpus, corpus)))
+    return AccuracyReport(results=results, skipped=skipped)
 
 
 def compare_variants(results_before, original: CorpusHandle,
@@ -286,13 +289,9 @@ def compare_variants(results_before, original: CorpusHandle,
     """
     from lineuplab.report import RankChangeRecord, RankChangeReport, change_histogram
 
-    compared: list[LineupResult] = []
-    failed: list[ImageId] = []
-    for result in results_before:
-        if any(m not in restored for m in result.lineup.members):
-            failed.append(result.lineup.source)
-        else:
-            compared.append(result)
+    compared = [r for r in results_before if all(m in restored for m in r.lineup.members)]
+    failed = [r.lineup.source for r in results_before
+              if not all(m in restored for m in r.lineup.members)]
     ranks = _probe_ranks([r.lineup for r in compared], original, restored)
     records = [
         RankChangeRecord(lineup_id=r.lineup.source, rank_before=r.probe_rank, rank_after=rank)
@@ -358,13 +357,14 @@ def read_lineup_manifest(path) -> list[Lineup]:
     return out
 
 
-def stored_lineups(config: PipelineConfig) -> tuple[LineupResult, ...]:
-    """The results ``evaluate`` wrote, over the lineups of its manifest."""
+def stored_lineups(config: PipelineConfig) -> tuple[LineupResult, ...] | None:
+    """The results ``evaluate`` wrote over its manifest's lineups; None if neither is stored."""
     manifest_path = config.out(MANIFEST_FILE)
     results_path = config.out(RESULTS_FILE)
-    if not manifest_path.is_file() or not results_path.is_file():
+    stored = manifest_path.is_file() + results_path.is_file()
+    if stored == 1:
         raise ConfigError("lineup manifest/results not found (run 'evaluate' first)")
-    return read_results_csv(results_path, read_lineup_manifest(manifest_path))
+    return read_results_csv(results_path, read_lineup_manifest(manifest_path)) if stored else None
 
 
 def write_results_csv(results, path) -> Path:

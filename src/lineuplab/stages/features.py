@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from lineuplab import corpus as corpus_mod
-from lineuplab.artifacts import FEATURES_FILE, MANIFEST_FILE, RESULTS_FILE, OutputGuard
+from lineuplab.artifacts import FEATURES_FILE, OutputGuard
 from lineuplab.config import PipelineConfig, require_path
 from lineuplab.corpus import ingest_landmarks
 from lineuplab.filters import Workspace
@@ -67,8 +67,7 @@ def run_features(config: PipelineConfig) -> Path:
     """
     handle = load_corpus(config)
     landmarks = ingest_landmarks(require_path(config, "paths.landmarks"))
-    stored = config.out(MANIFEST_FILE).is_file() or config.out(RESULTS_FILE).is_file()
-    write_features(config, handle, landmarks, stored_lineups(config) if stored else None)
+    write_features(config, handle, landmarks, stored_lineups(config))
     return config.out(FEATURES_FILE)
 
 

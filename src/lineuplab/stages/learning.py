@@ -16,8 +16,6 @@ from lineuplab import corpus as corpus_mod
 from lineuplab.artifacts import (
     FEATURES_FILE,
     HOOK_STATUS_FILE,
-    MANIFEST_FILE,
-    RESULTS_FILE,
     OutputGuard,
     write_json,
 )
@@ -105,13 +103,15 @@ def run_predict_and_restore(config: PipelineConfig) -> ComparisonBundle:
     Each input is loaded once, before anything commits: the hook,
     ``paths.images`` (when the hook or extraction reads it), the landmarks
     (when ``features.csv`` is absent), the model and both corpora. Over those
-    values it evaluates (if results are missing), extracts features (if
-    missing), predicts, runs the hook over the predicted-failure lineups'
-    members (sources are never restored) and re-ranks those lineups against
-    the externally re-embedded restored corpus, as ``compare`` does. A member
-    whose hook run failed is left out of the restored corpus. The predictions
-    and the hook status are committed with the comparison reports, so a
-    re-ranking that fails leaves the previous ``predictions.csv`` in place.
+    values it evaluates (if neither the lineup manifest nor the results is
+    stored; one without the other is refused, as ``features`` refuses it),
+    extracts features (if missing), predicts, runs the hook over the
+    predicted-failure lineups' members (sources are never restored) and
+    re-ranks those lineups against the externally re-embedded restored
+    corpus, as ``compare`` does. A member whose hook run failed is left out
+    of the restored corpus. The predictions and the hook status are
+    committed with the comparison reports, so a re-ranking that fails leaves
+    the previous ``predictions.csv`` in place.
     """
     hook = (RestorationHook(config.hook_command, config.hook_timeout)
             if config.hook_command else None)
@@ -121,9 +121,8 @@ def run_predict_and_restore(config: PipelineConfig) -> ComparisonBundle:
     landmarks = ingest_landmarks(require_path(config, "paths.landmarks")) if extract else None
     model = load_model_with_override(config)
     original, restored = original_and_restored(config)
-    if config.out(MANIFEST_FILE).is_file() and config.out(RESULTS_FILE).is_file():
-        results = stored_lineups(config)
-    else:
+    results = stored_lineups(config)
+    if results is None:
         results = evaluate(config, original).results
     if extract:
         features = write_features(config, original, landmarks, results)

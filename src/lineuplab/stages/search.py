@@ -19,6 +19,7 @@ from lineuplab.artifacts import (
     write_json,
 )
 from lineuplab.config import PipelineConfig
+from lineuplab.errors import ConfigError
 from lineuplab.lineup import (
     AccuracyReport,
     compare_variants,
@@ -84,6 +85,8 @@ def compare_with_restored(results, original, restored) -> ComparisonBundle:
 def run_compare(config: PipelineConfig) -> ComparisonBundle:
     """Re-rank every stored lineup against the restored embeddings."""
     results = stored_lineups(config)
+    if results is None:
+        raise ConfigError("lineup manifest and results not found (run 'evaluate' first)")
     bundle = compare_with_restored(results, *original_and_restored(config))
     with OutputGuard() as guard:
         write_comparison(config, guard, bundle)

@@ -324,13 +324,18 @@ def rescore_lineup(source_vec, member_vecs: dict, probe: str) -> int:
     """Probe rank by per-member dot products, ties to the smaller id."""
     sv = np.asarray(source_vec, dtype=np.float64)
     sv = sv / math.sqrt(float(np.dot(sv, sv)))
-    scored = []
-    for member_id, vec in member_vecs.items():
+    scores = []
+    for vec in member_vecs.values():
         v = np.asarray(vec, dtype=np.float64)
         v = v / math.sqrt(float(np.dot(v, v)))
-        scored.append((member_id, float(np.dot(sv, v))))
-    scored.sort(key=lambda t: (-t[1], t[0]))
-    return [m for m, _ in scored].index(probe)
+        scores.append(float(np.dot(sv, v)))
+    return probe_rank_from_scores(scores, list(member_vecs), probe)
+
+
+def probe_rank_from_scores(scores, member_ids, probe: str) -> int:
+    """Probe rank from given member scores: the members sorted by (-score, id)."""
+    ranked = sorted(zip(member_ids, scores), key=lambda t: (-t[1], t[0]))
+    return [m for m, _ in ranked].index(probe)
 
 
 # ---------------------------------------------------------------------------

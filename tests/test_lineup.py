@@ -4,8 +4,10 @@ import json
 import numpy as np
 import pytest
 
+import oracles
 from conftest import make_corpus, write_jsonl_corpus
 from lineuplab import lineup as lineup_mod
+from lineuplab import simindex
 from lineuplab.corpus import ingest_embeddings
 from lineuplab.errors import DataError
 from lineuplab.lineup import (
@@ -144,6 +146,8 @@ def test_lineup_validation():
         Lineup("s", ("f1", "f1", "f2", "f3", "f4"), "p", 0)
     with pytest.raises(DataError, match="differ from the source"):
         Lineup("s", ("f1", "f2", "f3", "f4", "f5"), "s", 0)
+    with pytest.raises(DataError, match="differ from the source"):
+        Lineup("s", ("f1", "f2", "s", "f4", "f5"), "p", 0)
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +212,82 @@ def test_rank_probe_missing_member(tmp_path):
     lu = Lineup("src", ("f1", "f2", "f3", "f4", "ghost"), "probe", 0)
     with pytest.raises(DataError, match="ghost"):
         rank_probe(lu, handle)
+
+
+# ---------------------------------------------------------------------------
+# Score block and rank rule
+
+
+def _tie_blocks(rng):
+    """Score rows with exact ties, and lineups whose probe id falls before,
+    between and after its filler ids: all six members tied, ties straddling
+    the probe, and random rows drawn from three score levels."""
+    ids = ["b", "d", "f", "h", "k", "m"]
+    rows, lineups = [], []
+    for trial in range(240):
+        members = [ids[i] for i in rng.permutation(6)]
+        if trial % 4 == 0:
+            row = [0.5] * 6
+        elif trial % 4 == 1:  # two fillers above the probe, two tied, one below
+            row = [0.9, 0.7, 0.7, 0.9, 0.1, 0.7]
+        else:
+            row = rng.choice([-0.25, 0.0, 0.25], size=6).tolist()
+        rows.append(row)
+        lineups.append(Lineup("s", tuple(members[:5]), members[5], 0))
+    return np.array(rows), lineups
+
+
+def test_ranks_from_scores_match_the_oracle_on_exact_ties(rng):
+    scores, lineups = _tie_blocks(rng)
+    want = [oracles.probe_rank_from_scores(row, lu.members, lu.probe)
+            for row, lu in zip(scores.tolist(), lineups)]
+    assert lineup_mod.ranks_from_scores(scores, lineups) == want
+    assert set(want) == set(range(6))
+    # all six tied: the rank is the number of filler ids below the probe id
+    for lu, rank in zip(lineups[::4], want[::4]):
+        assert rank == sum(f < lu.probe for f in lu.fillers)
+    assert lineup_mod.ranks_from_scores(np.empty((0, 6)), []) == []
+
+
+def test_lineup_scores_do_not_depend_on_the_block_size(tmp_path, rng, monkeypatch):
+    handle = make_corpus(tmp_path, rng, n_identities=10, per_identity=3, dim=8, cluster=0.9)
+    lineups = [r.lineup for r in evaluate_corpus(handle, build_index(handle), handle.ids,
+                                                 seed=0).results]
+    one_at_a_time = np.vstack([lineup_mod._lineup_scores([lu], handle, handle)
+                               for lu in lineups])
+    for lu, row in zip(lineups, one_at_a_time):  # fillers first, the probe last
+        src = simindex.l2_normalize(handle.vector(lu.source)[None, :], [lu.source])[0]
+        mem = simindex.l2_normalize(np.array([handle.vector(m) for m in lu.members]), lu.members)
+        assert np.allclose(row, mem @ src, rtol=0, atol=1e-12)
+    for lineups_per_block in (1, 2, 7, len(lineups)):
+        monkeypatch.setattr(simindex, "BLOCK_VALUES", lineups_per_block * 6 * handle.dim)
+        block = lineup_mod._lineup_scores(lineups, handle, handle)
+        assert block.dtype == np.float64 and block.shape == (len(lineups), 6)
+        assert block.tobytes() == one_at_a_time.tobytes()
+
+
+def test_ranking_calls_the_score_kernel_once_per_lineup_block(tmp_path, rng, monkeypatch):
+    handle = make_corpus(tmp_path, rng, n_identities=10, per_identity=3, dim=8, cluster=0.9)
+    index = build_index(handle)
+    kernel = simindex.score_kernel
+    member_blocks = []
+
+    def counted(queries, corpus):
+        if np.ndim(corpus) == 3:  # a lineup block, not the search's rescoring
+            member_blocks.append(len(queries))
+        return kernel(queries, corpus)
+
+    monkeypatch.setattr(simindex, "score_kernel", counted)
+    monkeypatch.setattr(simindex, "BLOCK_VALUES", 4 * 6 * handle.dim)
+    results = evaluate_corpus(handle, index, handle.ids, seed=0).results
+    n = len(results)
+    assert n == handle.count
+    want = [4] * (n // 4) + [n % 4] * (n % 4 > 0)
+    assert member_blocks == want
+    member_blocks.clear()
+    report = compare_variants(results, handle, handle)
+    assert member_blocks == want
+    assert [rec.change for rec in report.per_lineup] == [0] * n
 
 
 def test_result_validation():

@@ -739,6 +739,27 @@ def test_partial_hook_failure_fails_exactly_the_lineups_holding_that_image(chain
         assert rank_after == oracles.rescore_lineup(original.vector(source), members, lu.probe)
 
 
+@pytest.mark.parametrize("stored", [MANIFEST_FILE, RESULTS_FILE])
+def test_restore_needs_both_stored_files_or_neither(chain, tmp_path, capsys, stored):
+    out = tmp_path / "out"
+    args = _restore_args(chain, out)
+    (out / ({MANIFEST_FILE, RESULTS_FILE} - {stored}).pop()).unlink()
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    code = cli.main([*args, "--hook.command", f"sh {chain.ws.ok_hook} {{input}} {{output}}"])
+    assert code == 1
+    assert "run 'evaluate' first" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_compare_without_stored_lineups_exits_1(chain, tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    code = cli.main(["compare", "--config", str(chain.ws.config), "--paths.output", str(out)])
+    assert code == 1
+    assert "run 'evaluate' first" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_failed_restore_keeps_previous_hook_status(chain, tmp_path):
     out = tmp_path / "out"
     args = _restore_args(chain, out)
@@ -1275,6 +1296,22 @@ def test_compare_rejects_manifest_entries_of_the_wrong_type(chain, tmp_path, cap
     code = cli.main(["compare", "--config", str(chain.ws.config), "--paths.output", str(out)])
     assert code == 2
     assert f"{MANIFEST_FILE}:2: malformed lineup entry ('{field}' must be" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == [MANIFEST_FILE, RESULTS_FILE]
+
+
+def test_compare_refuses_a_lineup_that_holds_its_source(chain, tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    manifest = (chain.out / MANIFEST_FILE).read_text().splitlines(keepends=True)
+    entry = json.loads(manifest[2])
+    entry["fillers"][0] = entry["source"]
+    manifest[2] = json.dumps(entry) + "\n"
+    (out / MANIFEST_FILE).write_text("".join(manifest))
+    shutil.copy(chain.out / RESULTS_FILE, out / RESULTS_FILE)
+    code = cli.main(["compare", "--config", str(chain.ws.config), "--paths.output", str(out)])
+    assert code == 2
+    assert (f"{MANIFEST_FILE}:3: malformed lineup entry (lineup members must differ from the "
+            f"source image)") in capsys.readouterr().err
     assert sorted(p.name for p in out.iterdir()) == [MANIFEST_FILE, RESULTS_FILE]
 
 
